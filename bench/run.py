@@ -6,8 +6,9 @@
 
 Run from the root of a checkout; the package is imported from its ``src/``.
 With ``--trace 0`` the workload runs untraced in a fresh worker process and
-the end-to-end metrics are reported; ``setup_s`` is the median of several
-fresh worker start-ups.  With ``--trace 1`` a traced worker runs a fixed,
+the end-to-end metrics are reported, with times scaled to a reference host
+speed (see hostspeed.py); ``setup_s`` is the median of several fresh worker
+start-ups.  With ``--trace 1`` a traced worker runs a fixed,
 seeded set of items of every workload and the per-layer metrics are derived
 from the trace file it writes.  Human-readable lines come first; the last
 stdout line is the JSON result.  Results and traces are kept in
@@ -27,11 +28,13 @@ import sys
 import time
 from pathlib import Path
 
+from hostspeed import Scaler
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 RESULTS = ROOT / ".bench_results"
 WORKLOADS = ("marriage", "bulk", "exhaustive", "cli")
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 WORKER_TIMEOUT_S = 150
 
 
@@ -64,12 +67,19 @@ def _worker(args: list[str], timeout: float) -> tuple[float, list[str]]:
     return started, proc.stdout.splitlines()
 
 
-def setup_seconds(workload: str, seed: int) -> float:
-    """Process start to ready-for-the-first-item, for one fresh worker."""
+def setup_seconds(workload: str, seed: int) -> tuple[float, float]:
+    """Process start to ready-for-the-first-item, for one fresh worker:
+    (scaled to the reference host speed, wall)."""
+    scaler = Scaler()
     started, lines = _worker(
         ["--workload", workload, "--seed", str(seed), "--setup-only"], 60
     )
-    return json.loads(lines[0])["ready"] - started
+    wall = json.loads(lines[0])["ready"] - started
+    return scaler.scale(wall), wall
+
+
+def _quantiles(times: list[float]) -> tuple[float, float]:
+    return statistics.median(times), statistics.quantiles(times, n=10)[-1]
 
 
 def end_to_end(args) -> tuple[dict, dict]:
@@ -85,22 +95,30 @@ def end_to_end(args) -> tuple[dict, dict]:
         worker_args += ["--smoke", "--min-items", "2"]
     _, lines = _worker(worker_args, WORKER_TIMEOUT_S)
     out = json.loads(lines[-1])
-    times = out["times"]
+    times, wall = out["times"], out["wall"]
     attempted, failed = len(times), out["failed"]
-    p90 = statistics.quantiles(times, n=10)[-1]
+    p50, p90 = _quantiles(times)
     metrics = {
         "items_per_s": ((attempted - failed) / sum(times), "1/s"),
-        "item_s.p50": (statistics.median(times), "s"),
+        "item_s.p50": (p50, "s"),
         "item_s.p90": (p90, "s"),
-        "setup_s": (statistics.median(setups), "s"),
+        "setup_s": (statistics.median(s for s, _ in setups), "s"),
         "peak_rss_mb": (out["peak_rss_kb"] / 1024, "MB"),
     }
+    wall_p50, wall_p90 = _quantiles(wall)
     summary = {
         "attempted": attempted,
         "failed": failed,
         "fail_frac": failed / attempted,
         "beyond_p90": sum(t > p90 for t in times),
         "setup_samples": setups,
+        "wall": {
+            "items_per_s": (attempted - failed) / sum(wall),
+            "item_s.p50": wall_p50,
+            "item_s.p90": wall_p90,
+            "setup_s": statistics.median(w for _, w in setups),
+            "host_slowdown": sum(wall) / sum(times),
+        },
         "failures": out["failures"],
         "contractmatch": out["meta"]["contractmatch"],
     }
@@ -162,6 +180,8 @@ def main(argv=None) -> int:
     for key in ("attempted", "failed", "fail_frac", "beyond_p90", "stability_over_run"):
         if key in summary:
             print(f"{key:40s} {summary[key]:14.6g}")
+    for name, value in summary.get("wall", {}).items():
+        print(f"{'wall ' + name:40s} {value:14.6g}")
     for failure in summary["failures"]:
         print(f"FAILED {failure}")
     result = {

@@ -7,8 +7,9 @@ Set-up is the package import plus the first cycle of inputs; the worker
 then prints ``{"ready": <CLOCK_MONOTONIC>}`` so the parent can time set-up
 from process start.  The timed run executes items one at a time (a closed
 loop with one client) until ``--seconds`` have passed, at the end of a size
-cycle and after at least ``--min-items`` items.  The last stdout line is a
-JSON summary.
+cycle and after at least ``--min-items`` items.  Each item's wall time is
+also scaled to a reference host speed (see hostspeed.py).  The last stdout
+line is a JSON summary.
 """
 
 from __future__ import annotations
@@ -47,11 +48,16 @@ def _item_error(failures: list, label: str, exc: BaseException) -> None:
 
 
 def timed_run(wl, first: list, args) -> dict:
+    """Run items until ``--seconds`` have passed; time each one in wall
+    time and scaled to the reference host speed (see hostspeed.py)."""
+    from hostspeed import Scaler
     from tracing import no_span
 
     times: list[float] = []
+    wall: list[float] = []
     failures: list[str] = []
     failed = 0
+    scaler = Scaler()
     start = time.monotonic()
     i = 0
     while not (
@@ -62,18 +68,23 @@ def timed_run(wl, first: list, args) -> dict:
         inp = first[i] if i < len(first) else wl.make(args.seed, i)
         t0 = time.perf_counter()
         try:
-            out = wl.execute(inp, no_span)
-            times.append(time.perf_counter() - t0)
-            wl.check(inp, out)
+            out, error = wl.execute(inp, no_span), None
         except Exception as exc:  # an item's failure is a result, not a crash
-            if len(times) == i:
-                times.append(time.perf_counter() - t0)
+            out, error = None, exc
+        wall.append(time.perf_counter() - t0)
+        times.append(scaler.scale(wall[-1]))
+        try:
+            if error is not None:
+                raise error
+            wl.check(inp, out)
+        except Exception as exc:
             failed += 1
             _item_error(failures, f"item {i}", exc)
         i += 1
     usage = resource.RUSAGE_CHILDREN if wl.name == "cli" else resource.RUSAGE_SELF
     return {
         "times": times,
+        "wall": wall,
         "failed": failed,
         "failures": failures,
         "peak_rss_kb": resource.getrusage(usage).ru_maxrss,
