@@ -44,10 +44,6 @@ class AggregatePart:
                 f"agent {self.agent!r}: function covers {self.spec.n} contracts,"
                 f" slice has {len(self.contract_ids)}"
             )
-        if self.spec.domain_mask != full_mask(self.spec.n):
-            raise SpecError(
-                f"agent {self.agent!r}: function must be defined on its whole slice"
-            )
 
     def compress(self, global_mask: int) -> int:
         local = 0

@@ -9,9 +9,9 @@ still chosen from any smaller pool containing it).  The checkers live in
 
 Each variant is a frozen dataclass with a declarative payload plus a
 ``choose_mask`` evaluator working on bitmask subsets (see
-:mod:`contractmatch.sets`).  Variants whose payload only covers part of the
-universe (an order over a strict subset of contracts, say) expose that part
-as ``domain_mask``; evaluating them outside the domain raises
+:mod:`contractmatch.sets`).  Every variant is total: it is defined on every
+subset of its universe, so rankings must rank every contract, and only a
+subset outside the universe raises
 :class:`~contractmatch.errors.DomainError`.
 """
 
@@ -22,30 +22,22 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, SpecError
-from .sets import bit, format_mask, full_mask, iter_submasks, mask_of
+from .sets import bit, format_mask, full_mask, iter_submasks
 
 
 class ChoiceFunction:
     """Base class for all choice-function variants.
 
     Subclasses carry a universe size ``n`` and implement ``_choose`` on
-    masks that were already validated against ``domain_mask``.
+    masks already checked to lie within the universe.
     """
 
     n: int
 
-    @property
-    def domain_mask(self) -> int:
-        """The subsets this function is defined on (submasks of this mask)."""
-        return full_mask(self.n)
-
     def choose_mask(self, subset: int) -> int:
         """Evaluate the function on a subset given as a bitmask."""
-        if subset < 0 or subset & ~self.domain_mask:
-            raise DomainError(
-                f"subset {format_mask(subset & ~self.domain_mask if subset >= 0 else subset)}"
-                f" lies outside the declared domain {format_mask(self.domain_mask)}"
-            )
+        if subset >> self.n:
+            raise DomainError(f"subset {subset:#x} lies outside the {self.n}-contract universe")
         return self._choose(subset)
 
     def _choose(self, subset: int) -> int:
@@ -98,9 +90,8 @@ class TableChoice(ChoiceFunction):
 class TopOfOrder(ChoiceFunction):
     """Chooses the single best available contract of a strict ranking.
 
-    ``order`` lists contract ids best-first and fixes the domain: the
-    function is only defined on subsets of the ranked contracts.  The empty
-    set maps to the empty set.
+    ``order`` lists every contract id of the universe, best-first.  The
+    empty set maps to the empty set.
     """
 
     n: int
@@ -108,11 +99,6 @@ class TopOfOrder(ChoiceFunction):
 
     def __post_init__(self) -> None:
         _validate_ranking(self.order, self.n)
-        object.__setattr__(self, "_domain", mask_of(self.order))
-
-    @property
-    def domain_mask(self) -> int:
-        return self._domain  # type: ignore[attr-defined]
 
     def _choose(self, subset: int) -> int:
         for contract in self.order:
@@ -125,8 +111,8 @@ class TopOfOrder(ChoiceFunction):
 class ResponsiveQuota(ChoiceFunction):
     """Chooses the ``quota`` best available contracts of a strict ranking.
 
-    Defined on subsets of the ranked contracts.  With ``quota=1`` this is
-    :class:`TopOfOrder`; with ``quota=0`` it chooses nothing.
+    ``order`` ranks every contract of the universe.  With ``quota=1`` this
+    is :class:`TopOfOrder`; with ``quota=0`` it chooses nothing.
     """
 
     n: int
@@ -137,11 +123,6 @@ class ResponsiveQuota(ChoiceFunction):
         _validate_ranking(self.order, self.n)
         if self.quota < 0:
             raise SpecError(f"quota must be non-negative, got {self.quota}")
-        object.__setattr__(self, "_domain", mask_of(self.order))
-
-    @property
-    def domain_mask(self) -> int:
-        return self._domain  # type: ignore[attr-defined]
 
     def _choose(self, subset: int) -> int:
         chosen = 0
@@ -172,11 +153,7 @@ class UnionOfOrders(ChoiceFunction):
         if not self.orders:
             raise SpecError("union-of-orders needs at least one order")
         for order in self.orders:
-            if sorted(order) != list(range(self.n)):
-                raise SpecError(
-                    f"order {order!r} must rank every contract of the"
-                    f" {self.n}-contract universe exactly once"
-                )
+            _validate_ranking(order, self.n)
 
     def _choose(self, subset: int) -> int:
         chosen = 0
@@ -189,11 +166,16 @@ class UnionOfOrders(ChoiceFunction):
 
 
 def _validate_ranking(order: Sequence[int], n: int) -> None:
+    """Require ``order`` to be a permutation of ``0 .. n-1``."""
     if len(set(order)) != len(order):
         raise SpecError(f"ranking {order!r} repeats a contract")
     for contract in order:
         if not 0 <= contract < n:
             raise SpecError(f"ranking {order!r} names contract {contract} outside the universe")
+    if len(order) != n:
+        raise SpecError(
+            f"ranking {order!r} must rank every contract of the {n}-contract universe exactly once"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +211,13 @@ class PerturbationScheme:
     @classmethod
     def for_valuation(cls, values: Sequence[Fraction]) -> "PerturbationScheme":
         """A safe default scheme for the given valuation table."""
-        n = _universe_bits(len(values))
+        n = _universe_size(len(values))
         gap = _min_gap(values)
         eps = gap / (2 * n) if gap is not None else Fraction(1)
         return cls.dyadic(n, eps)
 
 
-def _universe_bits(table_len: int) -> int:
+def _universe_size(table_len: int) -> int:
     n = max(table_len - 1, 0).bit_length()
     if table_len != 1 << n:
         raise SpecError(
@@ -269,9 +251,9 @@ class ValuationArgmax(ChoiceFunction):
     scheme: PerturbationScheme
 
     def __post_init__(self) -> None:
-        if _universe_bits(len(self.values)) != self.n:
+        if _universe_size(len(self.values)) != self.n:
             raise SpecError(
-                f"valuation table covers {_universe_bits(len(self.values))} contracts,"
+                f"valuation table covers {_universe_size(len(self.values))} contracts,"
                 f" expected {self.n}"
             )
         self._validate_scheme()
@@ -337,7 +319,7 @@ def valuation_choice(
     table.
     """
     table = tuple(Fraction(v) for v in values)
-    n = _universe_bits(len(table))
+    n = _universe_size(len(table))
     if scheme is None:
         scheme = PerturbationScheme.for_valuation(table)
     return ValuationArgmax(n, table, scheme)
@@ -360,8 +342,8 @@ def convolve_valuations(
     """
     a = tuple(Fraction(v) for v in first)
     b = tuple(Fraction(v) for v in second)
-    n = _universe_bits(len(a))
-    if _universe_bits(len(b)) != n:
+    n = _universe_size(len(a))
+    if _universe_size(len(b)) != n:
         raise SpecError("valuations must share one universe to be convolved")
     out = []
     for menu in range(1 << n):
@@ -370,7 +352,9 @@ def convolve_valuations(
 
 
 def tabulate(f: ChoiceFunction) -> TableChoice:
-    """Materialize any full-domain choice function as an explicit table."""
-    if f.domain_mask != full_mask(f.n):
-        raise DomainError("only functions defined on the full universe can be tabulated")
+    """Materialize any choice function as an explicit table.
+
+    Raises :class:`~contractmatch.errors.SpecError` when ``f`` chooses a
+    contract outside its universe.
+    """
     return TableChoice(f.n, tuple(f.choose_mask(m) for m in range(1 << f.n)))

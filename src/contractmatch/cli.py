@@ -57,19 +57,6 @@ def _emit(args: argparse.Namespace, payload: dict, human_lines: Sequence[str]) -
             print(line)
 
 
-def _subset_names(instance: Instance, mask: int) -> list[str]:
-    return sorted(instance.names[i] for i in _bits(mask))
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -165,7 +152,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     loaded = load(args.file)
     instance = loaded.instance
     result = run(instance, proposer=args.proposer)
-    chosen = _subset_names(instance, result.chosen)
+    chosen = instance.names_of(result.chosen)
     payload: dict[str, Any] = {
         "proposer": result.proposer,
         "chosen": chosen,
@@ -191,9 +178,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             steps.append(
                 {
                     "step": j,
-                    "pool": _subset_names(instance, result.trace.pools[j]),
-                    "offer": _subset_names(instance, result.trace.offers[j]),
-                    "accepted": _subset_names(instance, result.trace.accepted[j]),
+                    "pool": instance.names_of(result.trace.pools[j]),
+                    "offer": instance.names_of(result.trace.offers[j]),
+                    "accepted": instance.names_of(result.trace.accepted[j]),
                 }
             )
         payload["trace"] = steps
@@ -218,7 +205,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     loaded = load(args.file)
     instance = loaded.instance
     catalog = enumerate_stable_agreements(instance)
-    sets = [_subset_names(instance, s) for s in catalog.sets]
+    sets = [instance.names_of(s) for s in catalog.sets]
     payload: dict[str, Any] = {
         "count": len(catalog),
         "stable_agreements": sets,
@@ -236,8 +223,8 @@ def cmd_lattice(args: argparse.Namespace) -> int:
                 continue
             m = meet(instance, a, b)
             j = join(instance, a, b)
-            meets.append({"a": i, "b": j_, "result": _subset_names(instance, m)})
-            joins.append({"a": i, "b": j_, "result": _subset_names(instance, j)})
+            meets.append({"a": i, "b": j_, "result": instance.names_of(m)})
+            joins.append({"a": i, "b": j_, "result": instance.names_of(j)})
             oracle_m = brute_glb(catalog, a, b)
             oracle_j = brute_lub(catalog, a, b)
             if oracle_m != m:
@@ -287,7 +274,7 @@ def cmd_market(args: argparse.Namespace) -> int:
     if checks & {"no-shortage", "two-prices"}:
         catalog = enumerate_stable_agreements(instance)
         payload["stable_agreements"] = [
-            _subset_names(instance, s) for s in catalog.sets
+            instance.names_of(s) for s in catalog.sets
         ]
         lines.append(f"{len(catalog)} stable agreement(s)")
 
@@ -298,7 +285,7 @@ def cmd_market(args: argparse.Namespace) -> int:
             "missing": [list(key) for key in report.missing],
             "unmatched": [
                 {
-                    "agreement": _subset_names(instance, agreement),
+                    "agreement": instance.names_of(agreement),
                     "contract": instance.names[cid],
                 }
                 for agreement, cid in report.unmatched
@@ -337,7 +324,7 @@ def cmd_market(args: argparse.Namespace) -> int:
             any_gap = any_gap or not report.ok
             results.append(
                 {
-                    "agreement": _subset_names(instance, s),
+                    "agreement": instance.names_of(s),
                     "ok": report.ok,
                     "violations": [
                         v.describe(instance.names, economy.price_grid)
@@ -372,7 +359,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     catalog = enumerate_stable_agreements(instance)
     payload = {
         "count": len(catalog),
-        "stable_agreements": [_subset_names(instance, s) for s in catalog.sets],
+        "stable_agreements": [instance.names_of(s) for s in catalog.sets],
         "below": [list(row) for row in catalog.below],
     }
     lines = [f"{len(catalog)} stable agreement(s)"]
@@ -418,8 +405,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         payload = {
             "op": "closure",
             "side": args.side,
-            "set": _subset_names(instance, a),
-            "result": _subset_names(instance, result),
+            "set": instance.names_of(a),
+            "result": instance.names_of(result),
             "coherence": coherence,
         }
         lines = [f"closure: {format_mask(result, instance.names)}"]
@@ -451,8 +438,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     payload = {
         "op": args.op,
         "side": args.side,
-        "set_a": _subset_names(instance, a),
-        "set_b": _subset_names(instance, b),
+        "set_a": instance.names_of(a),
+        "set_b": instance.names_of(b),
         "holds": answer,
         "coherence": coherence,
     }

@@ -13,11 +13,11 @@ Coherence is equivalent to Contraction plus *path independence*
 (``f(A | B) = f(f(A) | B)``), and :func:`check_coherent` re-derives its
 verdict through that second route as an internal cross-check.
 
-All checkers enumerate the function's whole domain, so they refuse
-universes above the bounds in :mod:`contractmatch.limits`.  Functions whose
-declared domain is a strict subset of the universe are checked over that
-domain (re-indexed internally to a compact space); witnesses are always
-reported in global contract ids.
+All checkers tabulate the function once over every subset of its universe
+(:func:`~contractmatch.choice.tabulate`) and scan that table, so they refuse
+universes above the bounds in :mod:`contractmatch.limits`.  Witnesses are
+contract ids of the function's own universe.  numpy, used only by the
+path-independence scan, is imported on first use.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import limits
-from .choice import ChoiceFunction
-from .errors import SizeBoundError, SpecError
-from .sets import format_mask, full_mask, ids_of, iter_submasks, popcount
+from .choice import ChoiceFunction, tabulate
+from .errors import SizeBoundError
+from .sets import format_mask, iter_submasks
 
 AXIOM_CONTRACTION = "contraction"
 AXIOM_IRC = "rejection-consistency"
@@ -138,59 +136,11 @@ class CoherenceReport:
         return "NOT coherent:\n  " + "\n  ".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Dense tables over a compact index space
-# ---------------------------------------------------------------------------
-
-
-class _Dense:
-    """A choice function materialized as a dense table over its domain.
-
-    Domains that are strict subsets of the universe are re-indexed to a
-    compact ``0..k-1`` space; ``expand``/``reduce`` translate between the
-    compact space and global contract ids.
-    """
-
-    def __init__(self, f: ChoiceFunction):
-        domain = f.domain_mask
-        self.ids = ids_of(domain)
-        self.k = len(self.ids)
-        self._direct = domain == full_mask(f.n)
-        size = 1 << self.k
-        if self._direct:
-            self.table = [f.choose_mask(m) for m in range(size)]
-        else:
-            pos = {g: i for i, g in enumerate(self.ids)}
-            table = []
-            for local in range(size):
-                out = f.choose_mask(self.expand(local))
-                if out & ~domain:
-                    raise SpecError(
-                        "choice function leaves its own declared domain:"
-                        f" f({format_mask(self.expand(local))}) = {format_mask(out)}"
-                    )
-                table.append(sum(1 << pos[g] for g in ids_of(out)))
-            self.table = table
-
-    def expand(self, local: int) -> int:
-        if self._direct:
-            return local
-        mask = 0
-        i = 0
-        while local:
-            if local & 1:
-                mask |= 1 << self.ids[i]
-            local >>= 1
-            i += 1
-        return mask
-
-
 def _bound_check(f: ChoiceFunction, max_n: int | None, default: Callable[[], int], what: str) -> None:
-    k = popcount(f.domain_mask)
     limit = default() if max_n is None else max_n
-    if k > limit:
+    if f.n > limit:
         raise SizeBoundError(
-            f"{what} scan refused: domain has {k} contracts, bound is {limit}"
+            f"{what} scan refused: domain has {f.n} contracts, bound is {limit}"
             f" (raise via max_n or the CONTRACTMATCH_*_BOUND environment variables)"
         )
 
@@ -200,94 +150,80 @@ def _bound_check(f: ChoiceFunction, max_n: int | None, default: Callable[[], int
 # ---------------------------------------------------------------------------
 
 
-def _contraction_violations(d: _Dense) -> list[ViolationReport]:
+def _contraction_violations(table: Sequence[int]) -> list[ViolationReport]:
     return [
-        ViolationReport(AXIOM_CONTRACTION, d.expand(m))
-        for m in range(1 << d.k)
-        if d.table[m] & ~m
+        ViolationReport(AXIOM_CONTRACTION, m)
+        for m, chosen in enumerate(table)
+        if chosen & ~m
     ]
 
 
-def _irc_violations(d: _Dense) -> list[ViolationReport]:
+def _irc_violations(table: Sequence[int]) -> list[ViolationReport]:
     out = []
-    table = d.table
-    for m in range(1 << d.k):
-        chosen = table[m]
+    for m, chosen in enumerate(table):
         rejected = m & ~chosen
         while rejected:
             xbit = rejected & -rejected
             if table[m ^ xbit] & ~chosen:
-                out.append(
-                    ViolationReport(
-                        AXIOM_IRC,
-                        d.expand(m),
-                        d.expand(m ^ xbit),
-                        d.ids[xbit.bit_length() - 1],
-                    )
-                )
+                out.append(ViolationReport(AXIOM_IRC, m, m ^ xbit, xbit.bit_length() - 1))
             rejected ^= xbit
     return out
 
 
-def _substitutes_violations(d: _Dense) -> list[ViolationReport]:
-    # Pairwise scan over (menu, submenu): 3**k pairs total.  For each
+def _substitutes_violations(table: Sequence[int]) -> list[ViolationReport]:
+    # Pairwise scan over (menu, submenu): 3**n pairs total.  For each
     # violating pair the lowest-id dropped contract is reported.
     out = []
-    table = d.table
-    for m in range(1 << d.k):
-        chosen = table[m]
+    for m, chosen in enumerate(table):
         if not chosen:
             continue
         for sub in iter_submasks(m):
             bad = sub & chosen & ~table[sub]
             if bad:
                 out.append(
-                    ViolationReport(
-                        AXIOM_SUBSTITUTES,
-                        d.expand(m),
-                        d.expand(sub),
-                        d.ids[(bad & -bad).bit_length() - 1],
-                    )
+                    ViolationReport(AXIOM_SUBSTITUTES, m, sub, (bad & -bad).bit_length() - 1)
                 )
     return out
 
 
-def _path_violations(d: _Dense) -> list[ViolationReport]:
-    # 4**k ordered pairs, vectorized one second-operand at a time.
-    size = 1 << d.k
-    t = np.asarray(d.table, dtype=np.int64)
+def _path_violations(table: Sequence[int]) -> list[ViolationReport]:
+    # 4**n ordered pairs, vectorized one second-operand at a time.
+    import numpy as np
+
+    size = len(table)
+    t = np.asarray(table, dtype=np.int64)
     menus = np.arange(size, dtype=np.int64)
     out = []
     for b in range(size):
         direct = t[menus | b]
         replayed = t[t | b]
         for a in np.nonzero(direct != replayed)[0]:
-            out.append(ViolationReport(AXIOM_PATH, d.expand(int(a)), d.expand(b)))
+            out.append(ViolationReport(AXIOM_PATH, int(a), b))
     return out
 
 
 def check_contraction(f: ChoiceFunction, max_n: int | None = None) -> list[ViolationReport]:
     """All Contraction counterexamples of ``f`` (empty list = axiom holds)."""
     _bound_check(f, max_n, limits.exhaustive_bound, "contraction")
-    return _contraction_violations(_Dense(f))
+    return _contraction_violations(tabulate(f).entries)
 
 
 def check_irc(f: ChoiceFunction, max_n: int | None = None) -> list[ViolationReport]:
     """All rejection-consistency counterexamples of ``f``."""
     _bound_check(f, max_n, limits.exhaustive_bound, "rejection-consistency")
-    return _irc_violations(_Dense(f))
+    return _irc_violations(tabulate(f).entries)
 
 
 def check_substitutes(f: ChoiceFunction, max_n: int | None = None) -> list[ViolationReport]:
     """All Substitutes counterexamples of ``f`` (one per violating menu pair)."""
     _bound_check(f, max_n, limits.pairwise_bound, "substitutes")
-    return _substitutes_violations(_Dense(f))
+    return _substitutes_violations(tabulate(f).entries)
 
 
 def check_path_independence(f: ChoiceFunction, max_n: int | None = None) -> list[ViolationReport]:
     """All path-independence counterexamples ``f(A|B) != f(f(A)|B)``."""
     _bound_check(f, max_n, limits.pairwise_bound, "path-independence")
-    return _path_violations(_Dense(f))
+    return _path_violations(tabulate(f).entries)
 
 
 def check_coherent(f: ChoiceFunction, max_n: int | None = None) -> CoherenceReport:
@@ -299,10 +235,10 @@ def check_coherent(f: ChoiceFunction, max_n: int | None = None) -> CoherenceRepo
     """
     _bound_check(f, max_n, limits.exhaustive_bound, "coherence")
     _bound_check(f, max_n, limits.pairwise_bound, "coherence")
-    d = _Dense(f)
+    table = tabulate(f).entries
     return CoherenceReport(
-        contraction=tuple(_contraction_violations(d)),
-        irc=tuple(_irc_violations(d)),
-        substitutes=tuple(_substitutes_violations(d)),
-        path_independence=tuple(_path_violations(d)),
+        contraction=tuple(_contraction_violations(table)),
+        irc=tuple(_irc_violations(table)),
+        substitutes=tuple(_substitutes_violations(table)),
+        path_independence=tuple(_path_violations(table)),
     )

@@ -23,14 +23,14 @@ out of revealed-preference closures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import limits
 from .choice import ChoiceFunction
 from .errors import DomainError, PreconditionError, SizeBoundError, SpecError
 from .preference import COHERENCE_UNKNOWN, closure
-from .sets import format_mask, full_mask, ids_of, iter_submasks, mask_of, popcount
+from .sets import format_mask, full_mask, iter_submasks, mask_of, popcount, subset_names
 
 MODE_SINGLETON = "singleton"
 MODE_FULL = "full"
@@ -63,10 +63,6 @@ class Instance:
                 raise SpecError(
                     f"side-{side} function covers {f.n} contracts, universe has {n}"
                 )
-            if f.domain_mask != full_mask(n):
-                raise SpecError(
-                    f"side-{side} function must be defined on the full universe"
-                )
         if self.labels is not None and len(self.labels) != n:
             raise SpecError("labels must cover every contract exactly once")
 
@@ -93,10 +89,7 @@ class Instance:
             raise SpecError(f"unknown contract name {e.args[0]!r}") from None
 
     def names_of(self, mask: int) -> list[str]:
-        return sorted(self.names[i] for i in ids_of(mask))
-
-    def with_coherence(self, status: str) -> "Instance":
-        return replace(self, coherence=status)
+        return subset_names(mask, self.names)
 
 
 def auto_names(n: int) -> tuple[str, ...]:
@@ -214,8 +207,8 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
     propose = instance.side(proposer)
     other = instance.side(3 - proposer)
     z = instance.universe if pool is None else pool
-    if z & ~instance.universe:
-        raise DomainError(f"pool {format_mask(z)} exceeds the universe")
+    if z >> instance.n:
+        raise DomainError(f"pool {z:#x} exceeds the {instance.n}-contract universe")
 
     pools: list[int] = []
     offers: list[int] = []

@@ -8,7 +8,7 @@ class SpecError(ValueError):
 
 
 class DomainError(ValueError):
-    """A subset lies outside the domain a choice function is declared on."""
+    """A subset lies outside the universe a choice function is defined on."""
 
 
 class SizeBoundError(RuntimeError):

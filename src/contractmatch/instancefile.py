@@ -49,7 +49,7 @@ from .market import (
     build_linear_producer,
     build_unit_demand_consumer,
 )
-from .sets import format_mask, ids_of
+from .sets import format_mask, ids_of, subset_names
 
 SCHEMA_VERSION = 1
 
@@ -126,10 +126,6 @@ def _parse_subset(value: Any, index: Mapping[str, int], loc: str) -> int:
         _expect(not mask & b, f"contract {name!r} listed twice", f"{loc}[{i}]")
         mask |= b
     return mask
-
-
-def _subset_to_json(mask: int, names: Sequence[str]) -> list[str]:
-    return sorted(names[i] for i in ids_of(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +257,8 @@ def _parse_order(value: Any, index: Mapping[str, int], loc: str) -> tuple[int, .
         _expect(name not in seen, f"contract {name!r} ranked twice", f"{loc}[{i}]")
         seen.add(name)
         order.append(index[name])
+    missing = sorted(set(index) - seen)
+    _expect(not missing, f"ranking leaves out {missing}; it must rank every contract", loc)
     return tuple(order)
 
 
@@ -285,8 +283,8 @@ def _spec_to_json(spec: ChoiceFunction, local_names: Sequence[str]) -> dict:
             "variant": "table",
             "map": [
                 {
-                    "in": _subset_to_json(m, local_names),
-                    "out": _subset_to_json(spec.entries[m], local_names),
+                    "in": subset_names(m, local_names),
+                    "out": subset_names(spec.entries[m], local_names),
                 }
                 for m in range(1 << spec.n)
             ],
@@ -312,7 +310,7 @@ def _spec_to_json(spec: ChoiceFunction, local_names: Sequence[str]) -> dict:
             "variant": "valuation_argmax",
             "values": [
                 {
-                    "set": _subset_to_json(m, local_names),
+                    "set": subset_names(m, local_names),
                     "value": _fraction_to_json(spec.values[m]),
                 }
                 for m in range(1 << spec.n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import limits
-from .choice import TableChoice
+from .choice import tabulate
 from .engine import Instance
 from .errors import PreconditionError, SizeBoundError
 from .preference import COHERENCE_UNKNOWN, prefers
@@ -63,13 +63,12 @@ def enumerate_stable_agreements(
         raise SizeBoundError(
             f"stable-agreement enumeration refused: {n} contracts, bound is {limit}"
         )
-    size = 1 << n
     universe = full_mask(n)
-    t1 = [instance.f1.choose_mask(m) for m in range(size)]
-    t2 = [instance.f2.choose_mask(m) for m in range(size)]
+    side1 = tabulate(instance.f1)
+    t1, t2 = side1.entries, tabulate(instance.f2).entries
 
     found = []
-    for subset in range(size):
+    for subset in range(1 << n):
         if t1[subset] != subset or t2[subset] != subset:
             continue
         outside = universe ^ subset
@@ -84,7 +83,6 @@ def enumerate_stable_agreements(
         if not blocked:
             found.append(subset)
 
-    side1 = TableChoice(n, tuple(t1))
     below = tuple(
         tuple(
             prefers(side1, bigger, smaller, COHERENCE_UNKNOWN).holds

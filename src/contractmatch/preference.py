@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .choice import ChoiceFunction
-from .sets import format_mask
+from .sets import format_mask, full_mask
 
 COHERENCE_CHECKED = "checked"
 COHERENCE_ASSERTED = "asserted"
@@ -96,7 +96,7 @@ def closure(f: ChoiceFunction, subset: int) -> int:
     ``a`` is below ``b`` exactly when ``a <= closure(f, b)``.
     """
     extra = 0
-    outside = f.domain_mask & ~subset
+    outside = full_mask(f.n) & ~subset
     while outside:
         xbit = outside & -outside
         if not f.choose_mask(subset | xbit) & xbit:

@@ -32,6 +32,8 @@ def mask_of(contracts: Iterable[int]) -> int:
 
 def ids_of(mask: int) -> tuple[int, ...]:
     """Contract ids present in ``mask``, ascending."""
+    if mask < 0:
+        raise ValueError(f"a subset mask cannot be negative, got {mask}")
     out = []
     i = 0
     while mask:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 
 import pytest
 
 from contractmatch.choice import ChoiceFunction, UnionOfOrders
-from contractmatch.sets import full_mask, iter_submasks
+from contractmatch.sets import iter_submasks
 
 
 def all_masks(n: int) -> range:
@@ -16,8 +18,7 @@ def all_masks(n: int) -> range:
 
 
 def table_of(f: ChoiceFunction) -> list[int]:
-    """Dense evaluation of a full-domain choice function."""
-    assert f.domain_mask == full_mask(f.n)
+    """Dense evaluation of a choice function over its whole universe."""
     return [f.choose_mask(m) for m in all_masks(f.n)]
 
 
@@ -40,6 +41,22 @@ def random_contraction_table(rng: random.Random, n: int) -> tuple[int, ...]:
         subs = list(iter_submasks(menu))
         entries.append(rng.choice(subs))
     return tuple(entries)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail with TimeoutError, instead of hanging, if the body runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

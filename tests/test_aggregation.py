@@ -43,7 +43,7 @@ def test_part_validation():
         AggregatePart("a", Identity(2), (3, 1))
     with pytest.raises(SpecError, match="covers 2 contracts"):
         AggregatePart("a", Identity(2), (0, 1, 2))
-    with pytest.raises(SpecError, match="whole slice"):
+    with pytest.raises(SpecError, match="rank every contract"):
         AggregatePart("a", TopOfOrder(2, (0,)), (0, 1))
 
 

@@ -22,9 +22,9 @@ from contractmatch.choice import (
     valuation_choice,
 )
 from contractmatch.errors import DomainError, SpecError
-from contractmatch.sets import full_mask, iter_submasks
+from contractmatch.sets import iter_submasks
 
-from conftest import all_masks
+from conftest import all_masks, deadline
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,8 @@ def test_identity():
 def test_identity_rejects_out_of_universe():
     with pytest.raises(DomainError):
         Identity(2).choose_mask(0b100)
+    with deadline(5), pytest.raises(DomainError, match="outside the 2-contract universe"):
+        Identity(2).choose_mask(-1)
 
 
 def test_table_lookup():
@@ -80,19 +82,15 @@ def test_top_of_order():
     assert f.choose_mask(0) == 0
 
 
-def test_top_of_order_restricted_domain():
-    f = TopOfOrder(3, (2, 0))
-    assert f.domain_mask == 0b101
-    assert f.choose_mask(0b101) == 0b100
-    with pytest.raises(DomainError):
-        f.choose_mask(0b010)
-
-
 def test_ranking_validation():
     with pytest.raises(SpecError, match="repeats"):
         TopOfOrder(3, (0, 0))
     with pytest.raises(SpecError, match="outside the universe"):
         TopOfOrder(2, (0, 5))
+    with pytest.raises(SpecError, match="rank every contract of the 3-contract universe"):
+        TopOfOrder(3, (2, 0))
+    with pytest.raises(SpecError, match="rank every contract of the 3-contract universe"):
+        ResponsiveQuota(3, (1,), 1)
 
 
 def test_responsive_quota():
@@ -256,11 +254,6 @@ def test_tabulate_roundtrip():
         assert t.choose_mask(m) == f.choose_mask(m)
 
 
-def test_tabulate_requires_full_domain():
-    with pytest.raises(DomainError, match="full universe"):
-        tabulate(TopOfOrder(3, (0, 1)))
-
-
 def test_convolve_valuations_small():
     # first: additive {0: 1, 1: 4}; second: additive {0: 3, 1: 2}.
     first = [0, 1, 4, 5]
@@ -277,11 +270,6 @@ def test_convolve_valuations_small():
 def test_convolve_requires_common_universe():
     with pytest.raises(SpecError, match="share one universe"):
         convolve_valuations([0, 1], [0, 1, 2, 3])
-
-
-def test_full_domain_default():
-    for f in (Identity(3), TableChoice(1, (0, 1)), UnionOfOrders(2, ((0, 1),))):
-        assert f.domain_mask == full_mask(f.n)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10_000))

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-
+import subprocess
+import sys
 
 from contractmatch.cli import main
 from contractmatch.corpus import fixture_path
@@ -346,6 +347,26 @@ def test_exit_3_on_oversized_exhaustive_check(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 3
     assert "refused" in err
+
+
+def test_exit_2_on_partial_order(tmp_path, capsys):
+    doc = json.loads(fixture_path("marriage_2x2").read_text())
+    doc["choice"]["side1"]["agents"]["m1"]["choice"]["order"] = ["m1_w2"]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert "choice.side1.agents.m1.choice.order" in err
+    assert "ranking" in err and "rank every contract" in err
+    assert "Traceback" not in err
+
+
+def test_import_leaves_numpy_unloaded():
+    probe = "import sys, contractmatch.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_json_output_is_byte_deterministic(capsys):

@@ -116,26 +116,16 @@ def test_coherent_variants_pass_all_checks():
         assert report.cross_check_ok
 
 
-def test_restricted_domain_checked_over_domain():
-    f = TopOfOrder(5, (4, 1))  # domain {1, 4} only
-    report = check_coherent(f)
-    assert report.coherent
-    # Witnesses from restricted-domain functions use global contract ids.
-    g = TopOfOrder(5, (4, 1))
-    violations = check_substitutes(g)
-    assert violations == []
-
-
-class _LeakyDomain(TopOfOrder):
-    """Chooses a contract outside its declared domain (a contract bug)."""
+class _Leaky(TopOfOrder):
+    """Chooses a contract outside its universe (a contract bug)."""
 
     def _choose(self, subset: int) -> int:
         return bit(3)
 
 
-def test_choice_leaving_domain_is_reported():
-    f = _LeakyDomain(5, (4, 1))
-    with pytest.raises(SpecError, match="leaves its own declared domain"):
+def test_choice_outside_universe_is_reported():
+    f = _Leaky(3, (2, 0, 1))
+    with pytest.raises(SpecError, match="outside the universe"):
         check_coherent(f)
 
 

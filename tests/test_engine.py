@@ -34,7 +34,7 @@ from contractmatch.generators import random_instance
 from contractmatch.oracle import brute_glb, brute_lub, enumerate_stable_agreements
 from contractmatch.preference import prefers
 
-from conftest import all_masks
+from conftest import all_masks, deadline
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_instance_validation():
         Instance(("a", "a"), Identity(2), Identity(2))
     with pytest.raises(SpecError, match="covers 1 contracts"):
         Instance(("a", "b"), Identity(1), Identity(2))
-    with pytest.raises(SpecError, match="full universe"):
+    with pytest.raises(SpecError, match="rank every contract"):
         Instance(("a", "b"), TopOfOrder(2, (0,)), Identity(2))
     with pytest.raises(SpecError, match="labels"):
         Instance(
@@ -200,6 +200,8 @@ def test_run_from_restricted_pool():
     assert again == full
     with pytest.raises(DomainError):
         run(inst, pool=1 << inst.n)
+    with deadline(5), pytest.raises(DomainError, match="exceeds"):
+        run(marriage_2x2(), pool=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ def test_roundtrip_every_fixture(name):
     assert again.meta == loaded.meta
     # Serialization is a fixpoint: dump(parse(dump(x))) == dump(x).
     assert dumps_document(to_document(again.instance, again.economy, again.meta)) == dumps_document(doc)
+    # The shipped file is already in canonical form.
+    assert dumps_document(doc) == (FIXTURE_DIR / name).read_text()
 
 
 def test_canonical_fixture_matches_corpus_builder():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from contractmatch.sets import (
     popcount,
     subset_names,
 )
+
+from conftest import deadline
 
 
 def test_full_mask():
@@ -34,6 +37,8 @@ def test_bit_and_mask_of():
 def test_ids_of_ascending():
     assert ids_of(0) == ()
     assert ids_of(0b1011) == (0, 1, 3)
+    with deadline(5), pytest.raises(ValueError, match="negative"):
+        ids_of(-1)
 
 
 def test_popcount():
@@ -70,3 +75,5 @@ def test_format_mask():
     assert format_mask(0) == "{}"
     assert format_mask(0b101) == "{0, 2}"
     assert format_mask(0b11, ("b", "a")) == "{a, b}"
+    with deadline(5), pytest.raises(ValueError, match="negative"):
+        format_mask(-1)
