@@ -9,19 +9,23 @@ built from coherent agents is coherent.
 
 Agents' functions are written over their own compact universe
 (``0 .. len(slice)-1``, in ascending order of the global ids they own);
-:class:`AggregatePart` records the translation.
+:class:`AggregatePart` records the translation.  :class:`AggregateChoice`
+maps ids one set bit at a time, and its ``keeps`` and ``rechoose``
+evaluate only the owner of the contract asked about, or only the agents
+whose share of the menu changed.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .choice import ChoiceFunction, TopOfOrder
 from .engine import ContractLabel, Instance
-from .errors import SpecError
+from .errors import DomainError, SpecError
 from .preference import COHERENCE_ASSERTED
-from .sets import full_mask
+from .sets import ids_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -45,20 +49,6 @@ class AggregatePart:
                 f" slice has {len(self.contract_ids)}"
             )
 
-    def compress(self, global_mask: int) -> int:
-        local = 0
-        for i, g in enumerate(self.contract_ids):
-            if global_mask >> g & 1:
-                local |= 1 << i
-        return local
-
-    def expand(self, local_mask: int) -> int:
-        global_mask = 0
-        for i, g in enumerate(self.contract_ids):
-            if local_mask >> i & 1:
-                global_mask |= 1 << g
-        return global_mask
-
 
 @dataclass(frozen=True)
 class AggregateChoice(ChoiceFunction):
@@ -72,27 +62,67 @@ class AggregateChoice(ChoiceFunction):
     parts: tuple[AggregatePart, ...]
 
     def __post_init__(self) -> None:
-        seen = 0
-        for part in self.parts:
-            for g in part.contract_ids:
-                if not 0 <= g < self.n:
-                    raise SpecError(
-                        f"agent {part.agent!r} owns contract {g} outside the universe"
-                    )
-                if seen >> g & 1:
-                    raise SpecError(f"contract {g} is owned by more than one agent")
-                seen |= 1 << g
-        if seen != full_mask(self.n):
-            missing = [i for i in range(self.n) if not seen >> i & 1]
+        # Each contract's owner (part index) and local id, as compact arrays.
+        owner, local, slices = [-1] * self.n, [0] * self.n, []
+        for p, part in enumerate(self.parts):
+            ids = part.contract_ids  # ascending, so only its ends can fall outside
+            if ids and (ids[0] < 0 or ids[-1] >= self.n):
+                bad = next(g for g in ids if not 0 <= g < self.n)
+                raise SpecError(f"agent {part.agent!r} owns contract {bad} outside the universe")
+            for i, g in enumerate(ids):
+                owner[g] = p
+                local[g] = i
+            slices.append(mask_of(ids))
+        unowned = owner.count(-1)
+        if sum(len(part.contract_ids) for part in self.parts) != self.n - unowned:
+            ids = sorted(g for part in self.parts for g in part.contract_ids)
+            twice = next(a for a, b in zip(ids, ids[1:]) if a == b)
+            raise SpecError(f"contract {twice} is owned by more than one agent")
+        if unowned:
+            missing = [g for g in range(self.n) if owner[g] < 0]
             raise SpecError(f"contracts {missing} are owned by no agent (label gap)")
         if len({p.agent for p in self.parts}) != len(self.parts):
             raise SpecError("agent names must be unique within a side")
+        code = "H" if max(self.n, len(self.parts)) <= 1 << 16 else "L"
+        object.__setattr__(self, "_owner", array(code, owner))
+        object.__setattr__(self, "_local", array(code, local))
+        object.__setattr__(self, "_slices", tuple(slices))
+
+    def _part_choice(self, p: int, subset: int) -> int:
+        """Part ``p``'s choice from its share of ``subset``, in global ids."""
+        part, local = self.parts[p], self._local
+        menu = chosen = 0
+        for g in ids_of(subset & self._slices[p]):
+            menu |= 1 << local[g]
+        for i in ids_of(part.spec.choose_mask(menu)):
+            chosen |= 1 << part.contract_ids[i]
+        return chosen
 
     def _choose(self, subset: int) -> int:
         chosen = 0
-        for part in self.parts:
-            local = part.compress(subset)
-            chosen |= part.expand(part.spec.choose_mask(local))
+        for p in range(len(self.parts)):
+            chosen |= self._part_choice(p, subset)
+        return chosen
+
+    def keeps(self, menu: int, x: int) -> bool:
+        if menu >> self.n:
+            raise DomainError(f"subset {menu:#x} lies outside the {self.n}-contract universe")
+        return bool(self._part_choice(self._owner[x], menu) >> x & 1)
+
+    def rechoose(self, subset: int, prev_subset: int, prev_choice: int) -> int:
+        """Every agent whose share of ``subset`` equals its share of
+        ``prev_subset`` keeps its part of ``prev_choice``: exact for any
+        agent function, since an agent only ever chooses from its own slice.
+        """
+        if subset >> self.n:
+            raise DomainError(f"subset {subset:#x} lies outside the {self.n}-contract universe")
+        chosen = prev_choice
+        changed = subset ^ prev_subset
+        while changed:
+            p = self._owner[(changed & -changed).bit_length() - 1]
+            piece = self._slices[p]
+            chosen = chosen & ~piece | self._part_choice(p, subset)
+            changed &= ~piece
         return chosen
 
 

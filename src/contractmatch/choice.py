@@ -13,6 +13,11 @@ Each variant is a frozen dataclass with a declarative payload plus a
 subset of its universe, so rankings must rank every contract, and only a
 subset outside the universe raises
 :class:`~contractmatch.errors.DomainError`.
+
+For the engine, ``keeps(menu, x)`` tests one contract and ``rechoose``
+re-evaluates a menu next to one already evaluated; both default to a whole
+``choose_mask``, and :class:`~contractmatch.aggregation.AggregateChoice`
+overrides them to evaluate only the agents concerned.
 """
 
 from __future__ import annotations
@@ -39,6 +44,14 @@ class ChoiceFunction:
         if subset >> self.n:
             raise DomainError(f"subset {subset:#x} lies outside the {self.n}-contract universe")
         return self._choose(subset)
+
+    def keeps(self, menu: int, x: int) -> bool:
+        """Is contract ``x`` chosen from ``menu``?"""
+        return bool(self.choose_mask(menu) >> x & 1)
+
+    def rechoose(self, subset: int, prev_subset: int, prev_choice: int) -> int:
+        """``choose_mask(subset)``, given ``prev_choice == choose_mask(prev_subset)``."""
+        return self.choose_mask(subset)
 
     def _choose(self, subset: int) -> int:
         raise NotImplementedError

@@ -172,6 +172,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         lines.append(
             f"blocking contract: {instance.names[result.stability.blocking_contract]}"
         )
+    cycle = result.trace.cycle
+    if cycle:
+        payload["converged"] = False
+        payload["cycle"] = [instance.names_of(pool) for pool in cycle]
+        loop = [format_mask(pool, instance.names) for pool in cycle + cycle[:1]]
+        lines.append(f"converged: no, the pools cycle {' -> '.join(loop)}")
     if args.trace:
         steps = []
         for j in range(result.trace.iterations):
@@ -191,7 +197,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f" accepted {{{', '.join(step['accepted'])}}}"
             )
     _emit(args, payload, lines)
-    if args.require_stable and not result.stability.stable:
+    if cycle or args.require_stable and not result.stability.stable:
         return 1
     return 0
 
@@ -509,9 +515,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"refused: {e}", file=sys.stderr)
         return 3
     except (SpecError, DomainError, PreconditionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

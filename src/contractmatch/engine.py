@@ -7,13 +7,20 @@ full mode, no outside set) would be accepted by both sides on top of it.
 
 :func:`run` executes the offer/reject iteration: the proposing side offers
 its choice from the current pool, the other side keeps what it likes, and
-everything offered but not kept leaves the pool for good.  The pool only
-shrinks, so a fixpoint is reached after at most ``n + 1`` rounds; the
-proposer's choice from the final pool is the candidate agreement.  On
-coherent instances it is the proposer-optimal stable agreement; the run
-itself never assumes coherence (useful precisely for demonstrating how the
-iteration fails on incoherent inputs) and reports the instance's recorded
-coherence status alongside its claims.
+everything offered but not kept leaves the pool.  When the receiving side
+satisfies Contraction (it keeps only offered contracts), the pool only
+shrinks, so a fixpoint is reached after at most ``n + 1`` rounds.  Without
+Contraction the pools can cycle; the run then stops at the first repeated
+pool and reports that it did not converge.  Either way the proposer's choice
+from the final pool is the candidate agreement.  On coherent instances it is
+the proposer-optimal stable agreement; the run itself never assumes
+coherence (useful precisely for demonstrating how the iteration fails on
+incoherent inputs) and reports the instance's recorded coherence status
+alongside its claims.
+
+Later rounds call ``rechoose`` and the singleton verdict calls ``keeps``
+(see :mod:`contractmatch.choice`), so an aggregate side re-evaluates only
+the agents whose menus changed, or the owner of the contract in question.
 
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest
@@ -157,8 +164,9 @@ class Trace:
     """Per-round record of one engine run.
 
     Round ``j`` starts from pool ``pools[j]``; the proposer offers
-    ``offers[j]``; the other side keeps ``accepted[j]``.  The last pool is
-    the fixpoint: applying one more round reproduces it.
+    ``offers[j]``; the other side keeps ``accepted[j]``.  One more round
+    from the last pool leads back to a recorded pool: to the last pool
+    itself at a fixpoint, or to an earlier one when the run cycles.
     """
 
     pools: tuple[int, ...]
@@ -173,6 +181,14 @@ class Trace:
     def final_pool(self) -> int:
         return self.pools[-1]
 
+    @property
+    def cycle(self) -> tuple[int, ...]:
+        """The pools the run kept revisiting, in order; empty at a fixpoint."""
+        after = (self.pools[-1] & ~self.offers[-1]) | self.accepted[-1]
+        if after == self.pools[-1]:
+            return ()
+        return self.pools[self.pools.index(after):]
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -184,6 +200,11 @@ class SolveResult:
     agreement: AgreementVerdict
     stability: StabilityVerdict
     coherence: str
+
+    @property
+    def converged(self) -> bool:
+        """Did the run reach a fixpoint pool (rather than stop on a cycle)?"""
+        return not self.trace.cycle
 
     @property
     def stable_agreement(self) -> bool:
@@ -200,8 +221,9 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
 
     Each round the proposing side offers its choice from the pool, the
     other side accepts its choice among the offers, and rejected offers
-    leave the pool.  Stops at the first repeated pool and returns the
-    proposer's choice there, with agreement/stability verdicts evaluated
+    leave the pool.  Stops at the first repeated pool (a fixpoint, or a
+    cycle: see :attr:`SolveResult.converged`) and returns the proposer's
+    choice from the last pool, with agreement/stability verdicts evaluated
     against the full universe.
     """
     propose = instance.side(proposer)
@@ -210,26 +232,28 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
     if z >> instance.n:
         raise DomainError(f"pool {z:#x} exceeds the {instance.n}-contract universe")
 
-    pools: list[int] = []
+    pools: dict[int, None] = {}  # in round order; no pool repeats
     offers: list[int] = []
     accepted: list[int] = []
+    offer = propose.choose_mask(z)
+    keep = other.choose_mask(offer)
     while True:
-        offer = propose.choose_mask(z)
-        keep = other.choose_mask(offer)
-        pools.append(z)
+        pools[z] = None
         offers.append(offer)
         accepted.append(keep)
         next_z = (z & ~offer) | keep
-        if next_z == z:
+        if next_z in pools:
             break
-        z = next_z
+        next_offer = propose.rechoose(next_z, z, offer)
+        keep = other.rechoose(next_offer, offer, keep)
+        z, offer = next_z, next_offer
 
     chosen = offers[-1]
     return SolveResult(
         chosen=chosen,
         proposer=proposer,
         trace=Trace(tuple(pools), tuple(offers), tuple(accepted)),
-        agreement=_agreement_verdict(instance, chosen),
+        agreement=is_agreement(instance, chosen),
         stability=_singleton_stability(instance, chosen),
         coherence=instance.coherence,
     )
@@ -240,7 +264,8 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
 # ---------------------------------------------------------------------------
 
 
-def _agreement_verdict(instance: Instance, subset: int) -> AgreementVerdict:
+def is_agreement(instance: Instance, subset: int) -> AgreementVerdict:
+    """Does each side keep ``subset`` exactly?"""
     return AgreementVerdict(
         subject=subset,
         side1_choice=instance.f1.choose_mask(subset),
@@ -248,17 +273,13 @@ def _agreement_verdict(instance: Instance, subset: int) -> AgreementVerdict:
     )
 
 
-def is_agreement(instance: Instance, subset: int) -> AgreementVerdict:
-    """Does each side keep ``subset`` exactly?"""
-    return _agreement_verdict(instance, subset)
-
-
 def _singleton_stability(instance: Instance, subset: int) -> StabilityVerdict:
     outside = instance.universe & ~subset
     while outside:
         xbit = outside & -outside
+        x = xbit.bit_length() - 1
         menu = subset | xbit
-        if instance.f1.choose_mask(menu) & xbit and instance.f2.choose_mask(menu) & xbit:
+        if instance.f1.keeps(menu, x) and instance.f2.keeps(menu, x):
             return StabilityVerdict(subset, MODE_SINGLETON, xbit)
         outside ^= xbit
     return StabilityVerdict(subset, MODE_SINGLETON, None)
@@ -324,7 +345,7 @@ def is_stable_agreement(
 ) -> StableAgreementVerdict:
     """Is ``subset`` both an agreement and stable?"""
     return StableAgreementVerdict(
-        agreement=_agreement_verdict(instance, subset),
+        agreement=is_agreement(instance, subset),
         stability=is_stable_set(instance, subset, mode),
     )
 

@@ -580,7 +580,12 @@ def dumps_document(doc: Mapping[str, Any]) -> str:
 
 def load(path: str | Path) -> LoadedFile:
     """Read and parse an instance file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ParseError(e.strerror or str(e), str(path)) from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})", str(path)) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -35,12 +35,10 @@ def ids_of(mask: int) -> tuple[int, ...]:
     if mask < 0:
         raise ValueError(f"a subset mask cannot be negative, got {mask}")
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

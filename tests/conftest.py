@@ -8,7 +8,8 @@ import signal
 
 import pytest
 
-from contractmatch.choice import ChoiceFunction, UnionOfOrders
+from contractmatch.choice import ChoiceFunction, TableChoice, UnionOfOrders
+from contractmatch.engine import Instance
 from contractmatch.sets import iter_submasks
 
 
@@ -41,6 +42,15 @@ def random_contraction_table(rng: random.Random, n: int) -> tuple[int, ...]:
         subs = list(iter_submasks(menu))
         entries.append(rng.choice(subs))
     return tuple(entries)
+
+
+def cycling_instance() -> Instance:
+    """Side 2 keeps {a, b} from the empty offer, so the pools run 11 -> 10 -> 01 -> 00 -> 11."""
+    return Instance(
+        ("a", "b"),
+        TableChoice(2, (0b00, 0b01, 0b10, 0b01)),
+        TableChoice(2, (0b11, 0b00, 0b01, 0b00)),
+    )
 
 
 @contextlib.contextmanager

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractmatch.aggregation import (
     AggregateChoice,
@@ -12,7 +14,7 @@ from contractmatch.aggregation import (
     aggregate_side,
     build_marriage_instance,
 )
-from contractmatch.choice import Identity, TableChoice, TopOfOrder
+from contractmatch.choice import Identity, TableChoice, TopOfOrder, UnionOfOrders
 from contractmatch.coherence import (
     check_coherent,
     check_contraction,
@@ -20,10 +22,10 @@ from contractmatch.coherence import (
     check_substitutes,
 )
 from contractmatch.corpus import no_stable_agreement_instance
-from contractmatch.errors import SpecError
+from contractmatch.errors import DomainError, SpecError
 from contractmatch.sets import mask_of
 
-from conftest import all_masks, random_coherent_function, random_contraction_table
+from conftest import all_masks, random_coherent_function, random_contraction_table, table_of
 
 
 # ---------------------------------------------------------------------------
@@ -32,10 +34,14 @@ from conftest import all_masks, random_coherent_function, random_contraction_tab
 
 
 def test_part_translation():
-    part = AggregatePart("alice", Identity(2), (1, 3))
-    assert part.compress(0b1010) == 0b11
-    assert part.compress(0b0101) == 0b00
-    assert part.expand(0b11) == 0b1010
+    # alice owns global ids 1 and 3 as local ids 0 and 1, and ranks local 1 first.
+    alice = AggregatePart("alice", TopOfOrder(2, (1, 0)), (1, 3))
+    f = AggregateChoice(4, (alice, AggregatePart("bob", Identity(2), (0, 2))))
+    assert f.choose_mask(0b1010) == 0b1000
+    assert f.choose_mask(0b0010) == 0b0010
+    assert f.choose_mask(0b0101) == 0b0101
+    assert f.keeps(0b1010, 3) and not f.keeps(0b1010, 1)
+    assert f.rechoose(0b1111, 0b0101, 0b0101) == 0b1101
 
 
 def test_part_validation():
@@ -48,6 +54,9 @@ def test_part_validation():
 
 
 def test_aggregate_requires_partition():
+    for ids, bad in (((-1, 0), -1), ((0, 3), 3)):
+        with pytest.raises(SpecError, match=f"contract {bad} outside the universe"):
+            AggregateChoice(3, (AggregatePart("a", Identity(2), ids),))
     with pytest.raises(SpecError, match="label gap"):
         AggregateChoice(3, (AggregatePart("a", Identity(2), (0, 1)),))
     with pytest.raises(SpecError, match="more than one agent"):
@@ -92,6 +101,55 @@ def test_label_locality():
     # An agent's contribution ignores everything outside its slice.
     for menu in all_masks(4):
         assert f.choose_mask(menu) & 0b0011 == f.choose_mask(menu & 0b0011) & 0b0011
+
+
+# ---------------------------------------------------------------------------
+# Agent-local evaluation: keeps and rechoose against choose_mask
+# ---------------------------------------------------------------------------
+
+
+def _random_aggregate(rng: random.Random, n: int) -> AggregateChoice:
+    """1-3 agents over random slices.  Table agents choose arbitrary subsets
+    of their slice, never contracting on the empty menu (f({}) != {})."""
+    owner = [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+    specs = {}
+    for agent in set(owner):
+        size = owner.count(agent)
+        kind = rng.choice(("table", "top", "union"))
+        if kind == "table":
+            entries = [rng.randrange(1 << size) for _ in range(1 << size)]
+            entries[0] = rng.randrange(1, 1 << size)
+            specs[f"a{agent}"] = TableChoice(size, tuple(entries))
+        elif kind == "top":
+            specs[f"a{agent}"] = TopOfOrder(size, tuple(rng.sample(range(size), size)))
+        else:
+            specs[f"a{agent}"] = UnionOfOrders(
+                size, tuple(tuple(rng.sample(range(size), size)) for _ in range(2))
+            )
+    return aggregate_side(specs, [f"a{agent}" for agent in owner])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
+def test_keeps_and_rechoose_match_choose_mask(n, seed):
+    agg = _random_aggregate(random.Random(seed), n)
+    # The aggregate's overrides, and the generic defaults on one of its parts.
+    for f in (agg, agg.parts[0].spec):
+        table = table_of(f)
+        for menu in all_masks(f.n):
+            for x in range(f.n):
+                assert f.keeps(menu, x) == table[menu] >> x & 1
+        for subset in all_masks(f.n):
+            for prev in all_masks(f.n):
+                assert f.rechoose(subset, prev, table[prev]) == table[subset]
+
+
+def test_agent_local_methods_check_the_universe():
+    f = aggregate_side({"a": Identity(1), "b": Identity(1)}, ["a", "b"])
+    with pytest.raises(DomainError):
+        f.keeps(0b100, 0)
+    with pytest.raises(DomainError):
+        f.rechoose(0b100, 0, 0)
 
 
 # ---------------------------------------------------------------------------

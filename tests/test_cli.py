@@ -7,7 +7,10 @@ import subprocess
 import sys
 
 from contractmatch.cli import main
-from contractmatch.corpus import fixture_path
+from contractmatch.corpus import FIXTURE_DIR, fixture_path
+from contractmatch.instancefile import save
+
+from conftest import cycling_instance, deadline
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +334,43 @@ def test_exit_2_on_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/file.json")
     assert code == 2
     assert "error" in err
+
+
+def test_exit_2_on_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "solve", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path}: ")
+    assert "Traceback" not in err
+
+
+def test_exit_2_on_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"contracts": ["caf\u00e9"]}'.encode("latin-1"))
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_solve_reports_a_cycle(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    save(path, cycling_instance())
+    with deadline(5):
+        code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert "converged: no, the pools cycle {a, b} -> {b} -> {a} -> {} -> {a, b}" in out
+    code, out, _ = run_cli(capsys, "solve", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["converged"] is False
+    assert payload["cycle"] == [["a", "b"], ["b"], ["a"], []]
+
+
+def test_converged_solve_json_has_no_convergence_keys(capsys):
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        code, out, _ = run_cli(capsys, "solve", str(path), "--json")
+        assert code == 0
+        assert not {"converged", "cycle"} & set(json.loads(out))
 
 
 def test_exit_3_on_oversized_exhaustive_check(tmp_path, capsys):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
-from contractmatch.choice import Identity, TableChoice, TopOfOrder
+from contractmatch.aggregation import AggregateChoice, AggregatePart, build_marriage_instance
+from contractmatch.choice import ChoiceFunction, Identity, TableChoice, TopOfOrder
 from contractmatch.corpus import (
+    FIXTURE_DIR,
     marriage_1x1,
     marriage_2x2,
     marriage_3x3,
@@ -16,6 +21,7 @@ from contractmatch.engine import (
     MODE_SINGLETON,
     ContractLabel,
     Instance,
+    Trace,
     auto_names,
     is_agreement,
     is_stable_agreement,
@@ -30,11 +36,12 @@ from contractmatch.errors import (
     SizeBoundError,
     SpecError,
 )
-from contractmatch.generators import random_instance
+from contractmatch.generators import random_instance, random_marriage_profile
+from contractmatch.instancefile import load
 from contractmatch.oracle import brute_glb, brute_lub, enumerate_stable_agreements
-from contractmatch.preference import prefers
+from contractmatch.preference import closure, prefers
 
-from conftest import all_masks, deadline
+from conftest import all_masks, cycling_instance, deadline
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,7 @@ def test_canonical_trace():
     assert result.stability.blocking_contract == 0
     assert not result.stable_agreement
     assert result.coherence == "unknown"
+    assert result.converged and result.trace.cycle == ()
 
 
 def test_canonical_blocking_verdict_text():
@@ -321,3 +329,141 @@ def test_engine_never_needs_coherence_to_run():
     result = run(inst)
     assert result.trace.iterations <= inst.n + 1
     assert not result.stable_agreement
+
+
+# ---------------------------------------------------------------------------
+# Non-contracting receivers: the pools may cycle
+# ---------------------------------------------------------------------------
+
+
+def test_run_stops_at_the_first_repeated_pool():
+    with deadline(5):
+        result = run(cycling_instance())
+    assert not result.converged
+    assert result.trace.pools == (0b11, 0b10, 0b01, 0b00)
+    assert result.trace.cycle == result.trace.pools
+    assert result.chosen == result.trace.offers[-1] == 0
+
+
+# ---------------------------------------------------------------------------
+# Agent-local rounds reproduce the whole-side iteration exactly
+# ---------------------------------------------------------------------------
+
+
+def whole_side_run(instance: Instance, proposer: int, pool: int) -> tuple[Trace, int | None]:
+    """The iteration and singleton verdict evaluating both whole sides every time.
+
+    Returns the trace and the blocking contract bit (None when stable).  Only
+    for instances whose receiving side is contracting: it stops at a fixpoint.
+    """
+    propose, other = instance.side(proposer), instance.side(3 - proposer)
+    z = pool
+    pools, offers, accepted = [], [], []
+    while True:
+        offer = propose.choose_mask(z)
+        keep = other.choose_mask(offer)
+        pools.append(z)
+        offers.append(offer)
+        accepted.append(keep)
+        next_z = (z & ~offer) | keep
+        if next_z == z:
+            break
+        z = next_z
+    chosen, blocking = offers[-1], None
+    outside = instance.universe & ~chosen
+    while outside and blocking is None:
+        xbit = outside & -outside
+        menu = chosen | xbit
+        if instance.f1.choose_mask(menu) & xbit and instance.f2.choose_mask(menu) & xbit:
+            blocking = xbit
+        outside ^= xbit
+    return Trace(tuple(pools), tuple(offers), tuple(accepted)), blocking
+
+
+def _assert_same_as_whole_side(instance: Instance, proposer: int, pool: int | None = None):
+    result = run(instance, proposer, pool)
+    trace, blocking = whole_side_run(
+        instance, proposer, instance.universe if pool is None else pool
+    )
+    assert result.trace == trace
+    assert result.chosen == trace.offers[-1]
+    assert result.stability.blocking_set == blocking
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_trace_identity_on_fixtures(path):
+    instance = load(path).instance
+    for proposer in (1, 2):
+        _assert_same_as_whole_side(instance, proposer)
+
+
+def test_trace_identity_on_acceptance_seeds():
+    from test_acceptance import theorem_catalogs, theorem_corpus
+
+    # Criterion 2: the 500 small marriage markets, man-proposing.
+    for seed in range(500):
+        rng = random.Random(seed)
+        men, women = random_marriage_profile(rng, rng.randint(1, 4), rng.randint(1, 4))
+        _assert_same_as_whole_side(build_marriage_instance(men, women), 1)
+    # Criteria 3 and 4: the theorem corpus with both proposers, and the
+    # meet/join runs from intersections of closures of catalog pairs.
+    # Criterion 6 audits exactly these runs.
+    for inst, catalog in zip(theorem_corpus(), theorem_catalogs()):
+        for proposer in (1, 2):
+            _assert_same_as_whole_side(inst, proposer)
+            f = inst.side(proposer)
+            pools = {closure(f, b) & closure(f, c) for b in catalog.sets for c in catalog.sets}
+            for pool in pools:
+                _assert_same_as_whole_side(inst, proposer, pool)
+
+
+# ---------------------------------------------------------------------------
+# Work: the rounds and the verdict touch only the agents concerned
+# ---------------------------------------------------------------------------
+
+
+class CountedChoice(ChoiceFunction):
+    """Counts the evaluations of ``inner`` in a shared tally."""
+
+    def __init__(self, inner: ChoiceFunction, tally: list[int]):
+        self.inner, self.n, self.tally = inner, inner.n, tally
+
+    def _choose(self, subset: int) -> int:
+        self.tally[0] += 1
+        return self.inner.choose_mask(subset)
+
+
+def _counted(f: AggregateChoice, tally: list[int]) -> AggregateChoice:
+    parts = tuple(
+        AggregatePart(p.agent, CountedChoice(p.spec, tally), p.contract_ids) for p in f.parts
+    )
+    return AggregateChoice(f.n, parts)
+
+
+@pytest.mark.parametrize("k", [16, 32])
+def test_agent_evaluations_follow_rejections(k):
+    """Per-agent evaluations in a k x k marriage run.
+
+    Round 0 evaluates every agent (2k).  A later round re-evaluates only the
+    proposers just rejected and the receivers whose offers changed; the
+    stability verdict evaluates at most the two owners of each outside
+    contract.  The whole-side loop paid 2k per round and per outside contract.
+    """
+    for seed in range(5):
+        inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
+        for proposer in (1, 2):
+            tally = [0]
+            counted = dataclasses.replace(
+                inst, f1=_counted(inst.f1, tally), f2=_counted(inst.f2, tally)
+            )
+            result = run(counted, proposer)
+            rejections = inst.n - result.trace.final_pool.bit_count()
+            outside = inst.n - result.chosen.bit_count()
+            assert tally[0] <= 2 * k + 2 * rejections + 2 * outside
+
+
+def test_80x80_marriage_is_fast():
+    inst = build_marriage_instance(*random_marriage_profile(1, 80, 80))
+    with deadline(10):
+        for proposer in (1, 2):
+            assert run(inst, proposer).stable_agreement
