@@ -10,9 +10,10 @@ built from coherent agents is coherent.
 Agents' functions are written over their own compact universe
 (``0 .. len(slice)-1``, in ascending order of the global ids they own);
 :class:`AggregatePart` records the translation.  :class:`AggregateChoice`
-maps ids one set bit at a time, and its ``keeps`` and ``rechoose``
-evaluate only the owner of the contract asked about, or only the agents
-whose share of the menu changed.
+maps ids one set bit at a time, in ``_to_local`` and ``_to_global`` only.
+Its ``kept_additions`` maps an agent's share of the subset once and then
+tests each of that agent's candidates, and its ``rechoose`` evaluates only
+the agents whose share of the menu changed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .choice import ChoiceFunction, TopOfOrder
 from .engine import ContractLabel, Instance
 from .errors import DomainError, SpecError
 from .preference import COHERENCE_ASSERTED
-from .sets import ids_of, mask_of
+from .sets import mask_of
 
 
 @dataclass(frozen=True)
@@ -88,15 +89,28 @@ class AggregateChoice(ChoiceFunction):
         object.__setattr__(self, "_local", array(code, local))
         object.__setattr__(self, "_slices", tuple(slices))
 
+    def _to_local(self, p: int, subset: int) -> int:
+        """Part ``p``'s share of ``subset``, in its local ids."""
+        local = self._local
+        share, out = subset & self._slices[p], 0
+        while share:
+            low = share & -share
+            out |= 1 << local[low.bit_length() - 1]
+            share ^= low
+        return out
+
+    def _to_global(self, p: int, local_mask: int) -> int:
+        """Part ``p``'s local subset ``local_mask``, in global ids."""
+        ids, out = self.parts[p].contract_ids, 0
+        while local_mask:
+            low = local_mask & -local_mask
+            out |= 1 << ids[low.bit_length() - 1]
+            local_mask ^= low
+        return out
+
     def _part_choice(self, p: int, subset: int) -> int:
         """Part ``p``'s choice from its share of ``subset``, in global ids."""
-        part, local = self.parts[p], self._local
-        menu = chosen = 0
-        for g in ids_of(subset & self._slices[p]):
-            menu |= 1 << local[g]
-        for i in ids_of(part.spec.choose_mask(menu)):
-            chosen |= 1 << part.contract_ids[i]
-        return chosen
+        return self._to_global(p, self.parts[p].spec.choose_mask(self._to_local(p, subset)))
 
     def _choose(self, subset: int) -> int:
         chosen = 0
@@ -104,10 +118,23 @@ class AggregateChoice(ChoiceFunction):
             chosen |= self._part_choice(p, subset)
         return chosen
 
-    def keeps(self, menu: int, x: int) -> bool:
-        if menu >> self.n:
-            raise DomainError(f"subset {menu:#x} lies outside the {self.n}-contract universe")
-        return bool(self._part_choice(self._owner[x], menu) >> x & 1)
+    def _kept_additions(self, subset: int, candidates: int) -> int:
+        """Each owner's share of ``subset`` is mapped to local ids once; each
+        of its candidates is then one evaluation, tested on its local bit."""
+        owner, local, kept = self._owner, self._local, 0
+        while candidates:
+            p = owner[(candidates & -candidates).bit_length() - 1]
+            piece = self._slices[p]
+            choose, base = self.parts[p].spec.choose_mask, self._to_local(p, subset)
+            mine = candidates & piece
+            candidates ^= mine
+            while mine:
+                xbit = mine & -mine
+                lbit = 1 << local[xbit.bit_length() - 1]
+                if choose(base | lbit) & lbit:
+                    kept |= xbit
+                mine ^= xbit
+        return kept
 
     def rechoose(self, subset: int, prev_subset: int, prev_choice: int) -> int:
         """Every agent whose share of ``subset`` equals its share of

@@ -14,10 +14,11 @@ subset of its universe, so rankings must rank every contract, and only a
 subset outside the universe raises
 :class:`~contractmatch.errors.DomainError`.
 
-For the engine, ``keeps(menu, x)`` tests one contract and ``rechoose``
-re-evaluates a menu next to one already evaluated; both default to a whole
-``choose_mask``, and :class:`~contractmatch.aggregation.AggregateChoice`
-overrides them to evaluate only the agents concerned.
+For the engine, ``kept_additions(subset, candidates)`` finds every
+candidate ``x`` kept from ``subset | {x}``, and ``rechoose`` re-evaluates a
+menu next to one already evaluated.  Both default to whole ``choose_mask``
+calls; :class:`~contractmatch.aggregation.AggregateChoice` overrides them to
+evaluate only the agents concerned.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ class ChoiceFunction:
     """Base class for all choice-function variants.
 
     Subclasses carry a universe size ``n`` and implement ``_choose`` on
-    masks already checked to lie within the universe.
+    masks already checked to lie within the universe; they may override
+    ``_kept_additions`` (also given checked masks) and ``rechoose`` to
+    evaluate less.
     """
 
     n: int
@@ -45,9 +48,12 @@ class ChoiceFunction:
             raise DomainError(f"subset {subset:#x} lies outside the {self.n}-contract universe")
         return self._choose(subset)
 
-    def keeps(self, menu: int, x: int) -> bool:
-        """Is contract ``x`` chosen from ``menu``?"""
-        return bool(self.choose_mask(menu) >> x & 1)
+    def kept_additions(self, subset: int, candidates: int) -> int:
+        """The mask of the candidates ``x`` with ``x`` in ``f(subset | {x})``."""
+        for what, mask in (("subset", subset), ("candidate set", candidates)):
+            if mask >> self.n:
+                raise DomainError(f"{what} {mask:#x} lies outside the {self.n}-contract universe")
+        return self._kept_additions(subset, candidates)
 
     def rechoose(self, subset: int, prev_subset: int, prev_choice: int) -> int:
         """``choose_mask(subset)``, given ``prev_choice == choose_mask(prev_subset)``."""
@@ -55,6 +61,15 @@ class ChoiceFunction:
 
     def _choose(self, subset: int) -> int:
         raise NotImplementedError
+
+    def _kept_additions(self, subset: int, candidates: int) -> int:
+        kept = 0
+        while candidates:
+            xbit = candidates & -candidates
+            if self.choose_mask(subset | xbit) & xbit:
+                kept |= xbit
+            candidates ^= xbit
+        return kept
 
 
 @dataclass(frozen=True)

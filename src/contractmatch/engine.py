@@ -18,9 +18,10 @@ coherence (useful precisely for demonstrating how the iteration fails on
 incoherent inputs) and reports the instance's recorded coherence status
 alongside its claims.
 
-Later rounds call ``rechoose`` and the singleton verdict calls ``keeps``
-(see :mod:`contractmatch.choice`), so an aggregate side re-evaluates only
-the agents whose menus changed, or the owner of the contract in question.
+Later rounds call ``rechoose`` and the singleton verdict calls
+``kept_additions`` once per side (see :mod:`contractmatch.choice`), so an
+aggregate side re-evaluates only the agents whose menus changed, or, for
+each outside contract, only its owner.
 
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest
@@ -274,15 +275,10 @@ def is_agreement(instance: Instance, subset: int) -> AgreementVerdict:
 
 
 def _singleton_stability(instance: Instance, subset: int) -> StabilityVerdict:
+    # Side 2 is asked only about the outside contracts side 1 keeps.
     outside = instance.universe & ~subset
-    while outside:
-        xbit = outside & -outside
-        x = xbit.bit_length() - 1
-        menu = subset | xbit
-        if instance.f1.keeps(menu, x) and instance.f2.keeps(menu, x):
-            return StabilityVerdict(subset, MODE_SINGLETON, xbit)
-        outside ^= xbit
-    return StabilityVerdict(subset, MODE_SINGLETON, None)
+    both = instance.f2.kept_additions(subset, instance.f1.kept_additions(subset, outside))
+    return StabilityVerdict(subset, MODE_SINGLETON, both & -both or None)
 
 
 def _full_stability(instance: Instance, subset: int, max_n: int | None) -> StabilityVerdict:
@@ -318,6 +314,8 @@ def is_stable_set(
     Witnesses are minimal: the lowest-id contract, or the numerically first
     blocking set.
     """
+    if subset >> instance.n:
+        raise DomainError(f"subset {subset:#x} exceeds the {instance.n}-contract universe")
     if mode == MODE_SINGLETON:
         return _singleton_stability(instance, subset)
     if mode == MODE_FULL:

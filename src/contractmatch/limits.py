@@ -3,7 +3,9 @@
 Every exhaustive checker refuses universes larger than a configured bound
 instead of silently taking minutes.  Bounds can be raised (or lowered) per
 process through environment variables, or per call through the ``max_n``
-argument the checkers accept.
+argument the checkers accept.  A variable that is set must hold a
+non-negative integer; any other value raises
+:class:`~contractmatch.errors.SpecError` when the bound is read.
 
 Environment variables:
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import SpecError
+
 EXHAUSTIVE_DEFAULT = 12
 PAIRWISE_DEFAULT = 10
 ORACLE_DEFAULT = 16
@@ -28,13 +32,13 @@ _ENV_PREFIX = "CONTRACTMATCH"
 
 
 def _from_env(name: str, default: int) -> int:
-    raw = os.environ.get(f"{_ENV_PREFIX}_{name}")
+    var = f"{_ENV_PREFIX}_{name}"
+    raw = os.environ.get(var)
     if raw is None:
         return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+    if not raw.strip().isdecimal():
+        raise SpecError(f"{var} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def exhaustive_bound() -> int:

@@ -25,7 +25,13 @@ from contractmatch.corpus import no_stable_agreement_instance
 from contractmatch.errors import DomainError, SpecError
 from contractmatch.sets import mask_of
 
-from conftest import all_masks, random_coherent_function, random_contraction_table, table_of
+from conftest import (
+    all_masks,
+    deadline,
+    random_coherent_function,
+    random_contraction_table,
+    table_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +46,8 @@ def test_part_translation():
     assert f.choose_mask(0b1010) == 0b1000
     assert f.choose_mask(0b0010) == 0b0010
     assert f.choose_mask(0b0101) == 0b0101
-    assert f.keeps(0b1010, 3) and not f.keeps(0b1010, 1)
+    assert f.kept_additions(0b0010, 0b1101) == 0b1101
+    assert f.kept_additions(0b1000, 0b0111) == 0b0101  # alice keeps 3 over 1
     assert f.rechoose(0b1111, 0b0101, 0b0101) == 0b1101
 
 
@@ -104,7 +111,7 @@ def test_label_locality():
 
 
 # ---------------------------------------------------------------------------
-# Agent-local evaluation: keeps and rechoose against choose_mask
+# Agent-local evaluation: kept_additions and rechoose against choose_mask
 # ---------------------------------------------------------------------------
 
 
@@ -131,23 +138,32 @@ def _random_aggregate(rng: random.Random, n: int) -> AggregateChoice:
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
-def test_keeps_and_rechoose_match_choose_mask(n, seed):
+def test_kept_additions_and_rechoose_match_choose_mask(n, seed):
     agg = _random_aggregate(random.Random(seed), n)
     # The aggregate's overrides, and the generic defaults on one of its parts.
     for f in (agg, agg.parts[0].spec):
         table = table_of(f)
-        for menu in all_masks(f.n):
-            for x in range(f.n):
-                assert f.keeps(menu, x) == table[menu] >> x & 1
         for subset in all_masks(f.n):
+            # Every contract x with x in f(subset | {x}), straight from the table.
+            kept = 0
+            for x in range(f.n):
+                kept |= table[subset | 1 << x] & 1 << x
+            for candidates in all_masks(f.n):
+                assert f.kept_additions(subset, candidates) == kept & candidates
             for prev in all_masks(f.n):
                 assert f.rechoose(subset, prev, table[prev]) == table[subset]
 
 
 def test_agent_local_methods_check_the_universe():
     f = aggregate_side({"a": Identity(1), "b": Identity(1)}, ["a", "b"])
-    with pytest.raises(DomainError):
-        f.keeps(0b100, 0)
+    # The aggregate's override and the base-class default on one part.
+    for g in (f, f.parts[0].spec):
+        for bad in (1 << g.n, -1):
+            with deadline(5):
+                with pytest.raises(DomainError, match=f"subset {bad:#x} lies outside"):
+                    g.kept_additions(bad, 0)
+                with pytest.raises(DomainError, match=f"candidate set {bad:#x} lies outside"):
+                    g.kept_additions(0, bad)
     with pytest.raises(DomainError):
         f.rechoose(0b100, 0, 0)
 

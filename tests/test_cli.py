@@ -389,6 +389,14 @@ def test_exit_3_on_oversized_exhaustive_check(tmp_path, capsys):
     assert "refused" in err
 
 
+def test_exit_2_on_bad_bound_variable(monkeypatch, capsys):
+    monkeypatch.setenv("CONTRACTMATCH_EXHAUSTIVE_BOUND", "-5")
+    code, _, err = run_cli(capsys, "validate", str(fixture_path("marriage_2x2")))
+    assert code == 2
+    assert err.startswith("error: CONTRACTMATCH_EXHAUSTIVE_BOUND") and "'-5'" in err
+    assert "Traceback" not in err
+
+
 def test_exit_2_on_partial_order(tmp_path, capsys):
     doc = json.loads(fixture_path("marriage_2x2").read_text())
     doc["choice"]["side1"]["agents"]["m1"]["choice"]["order"] = ["m1_w2"]

@@ -265,5 +265,7 @@ def test_bound_override_via_argument():
 def test_bound_override_via_environment(monkeypatch):
     monkeypatch.setenv("CONTRACTMATCH_EXHAUSTIVE_BOUND", "13")
     assert check_contraction(Identity(13)) == []
-    monkeypatch.setenv("CONTRACTMATCH_EXHAUSTIVE_BOUND", "bogus")
-    assert check_contraction(Identity(12)) == []  # falls back to the default
+    for bad in ("bogus", "-5"):
+        monkeypatch.setenv("CONTRACTMATCH_EXHAUSTIVE_BOUND", bad)
+        with pytest.raises(SpecError, match=f"CONTRACTMATCH_EXHAUSTIVE_BOUND .*'{bad}'"):
+            check_contraction(Identity(2))

@@ -250,6 +250,17 @@ def test_full_mode_respects_bound():
     assert is_stable_set(inst, inst.universe, MODE_FULL).stable
 
 
+def test_is_stable_set_checks_the_universe():
+    inst = marriage_2x2()
+    for subset, mode in (
+        (inst.universe | 1 << inst.n, MODE_SINGLETON),
+        (-1, MODE_SINGLETON),
+        (inst.universe | 1 << inst.n, MODE_FULL),
+    ):
+        with pytest.raises(DomainError, match=f"subset {subset:#x} exceeds"):
+            is_stable_set(inst, subset, mode)
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ValueError, match="mode"):
         is_stable_set(no_stable_agreement_instance(), 0, "both")
@@ -350,6 +361,19 @@ def test_run_stops_at_the_first_repeated_pool():
 # ---------------------------------------------------------------------------
 
 
+def whole_side_blocker(instance: Instance, subset: int) -> int | None:
+    """The singleton verdict evaluating both whole sides for each outside
+    contract in id order: the first blocking contract's bit, or None."""
+    outside = instance.universe & ~subset
+    while outside:
+        xbit = outside & -outside
+        menu = subset | xbit
+        if instance.f1.choose_mask(menu) & xbit and instance.f2.choose_mask(menu) & xbit:
+            return xbit
+        outside ^= xbit
+    return None
+
+
 def whole_side_run(instance: Instance, proposer: int, pool: int) -> tuple[Trace, int | None]:
     """The iteration and singleton verdict evaluating both whole sides every time.
 
@@ -369,15 +393,8 @@ def whole_side_run(instance: Instance, proposer: int, pool: int) -> tuple[Trace,
         if next_z == z:
             break
         z = next_z
-    chosen, blocking = offers[-1], None
-    outside = instance.universe & ~chosen
-    while outside and blocking is None:
-        xbit = outside & -outside
-        menu = chosen | xbit
-        if instance.f1.choose_mask(menu) & xbit and instance.f2.choose_mask(menu) & xbit:
-            blocking = xbit
-        outside ^= xbit
-    return Trace(tuple(pools), tuple(offers), tuple(accepted)), blocking
+    trace = Trace(tuple(pools), tuple(offers), tuple(accepted))
+    return trace, whole_side_blocker(instance, offers[-1])
 
 
 def _assert_same_as_whole_side(instance: Instance, proposer: int, pool: int | None = None):
@@ -395,6 +412,17 @@ def test_trace_identity_on_fixtures(path):
     instance = load(path).instance
     for proposer in (1, 2):
         _assert_same_as_whole_side(instance, proposer)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_witness_identity_on_random_subsets(path):
+    # Run outcomes are almost always stable; random subsets mostly are not.
+    instance = load(path).instance
+    rng = random.Random(path.stem)
+    for _ in range(50):
+        subset = rng.getrandbits(instance.n)
+        verdict = is_stable_set(instance, subset)
+        assert verdict.blocking_set == whole_side_blocker(instance, subset)
 
 
 def test_trace_identity_on_acceptance_seeds():
@@ -460,6 +488,29 @@ def test_agent_evaluations_follow_rejections(k):
             rejections = inst.n - result.trace.final_pool.bit_count()
             outside = inst.n - result.chosen.bit_count()
             assert tally[0] <= 2 * k + 2 * rejections + 2 * outside
+
+
+@pytest.mark.parametrize("k", [16, 32])
+def test_verdict_evaluates_each_outside_contract_once_per_keeping_side(k):
+    """Side 1 evaluates the owner of every outside contract once; side 2
+    evaluates the owner of each outside contract that side 1 keeps."""
+    for seed in range(3):
+        inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
+        tally = [0]
+        counted = dataclasses.replace(
+            inst, f1=_counted(inst.f1, tally), f2=_counted(inst.f2, tally)
+        )
+        for proposer in (1, 2):
+            chosen = run(inst, proposer).chosen
+            outside = inst.universe & ~chosen
+            kept1 = sum(
+                inst.f1.choose_mask(chosen | 1 << x) >> x & 1
+                for x in range(inst.n)
+                if outside >> x & 1
+            )
+            tally[0] = 0
+            assert is_stable_set(counted, chosen).stable
+            assert tally[0] == outside.bit_count() + kept1
 
 
 def test_80x80_marriage_is_fast():
