@@ -10,10 +10,12 @@ built from coherent agents is coherent.
 Agents' functions are written over their own compact universe
 (``0 .. len(slice)-1``, in ascending order of the global ids they own);
 :class:`AggregatePart` records the translation.  :class:`AggregateChoice`
-maps ids one set bit at a time, in ``_to_local`` and ``_to_global`` only.
-Its ``kept_additions`` maps an agent's share of the subset once and then
-tests each of that agent's candidates, and its ``rechoose`` evaluates only
-the agents whose share of the menu changed.
+writes each agent in global ids once, when the side is built (see
+``ChoiceFunction._relabelled``): a ranking agent becomes its ranking over
+global ids, so every later call is one walk on global masks, and only an
+agent without a ranking maps ids on each call.  Its ``kept_additions`` asks
+each owner once about all of its candidates, and its ``rechoose`` evaluates
+only the agents whose share of the menu changed.
 """
 
 from __future__ import annotations
@@ -63,16 +65,15 @@ class AggregateChoice(ChoiceFunction):
     parts: tuple[AggregatePart, ...]
 
     def __post_init__(self) -> None:
-        # Each contract's owner (part index) and local id, as compact arrays.
-        owner, local, slices = [-1] * self.n, [0] * self.n, []
+        # Each contract's owner (part index), as a compact array.
+        owner, slices = [-1] * self.n, []
         for p, part in enumerate(self.parts):
             ids = part.contract_ids  # ascending, so only its ends can fall outside
             if ids and (ids[0] < 0 or ids[-1] >= self.n):
                 bad = next(g for g in ids if not 0 <= g < self.n)
                 raise SpecError(f"agent {part.agent!r} owns contract {bad} outside the universe")
-            for i, g in enumerate(ids):
+            for g in ids:
                 owner[g] = p
-                local[g] = i
             slices.append(mask_of(ids))
         unowned = owner.count(-1)
         if sum(len(part.contract_ids) for part in self.parts) != self.n - unowned:
@@ -84,56 +85,29 @@ class AggregateChoice(ChoiceFunction):
             raise SpecError(f"contracts {missing} are owned by no agent (label gap)")
         if len({p.agent for p in self.parts}) != len(self.parts):
             raise SpecError("agent names must be unique within a side")
-        code = "H" if max(self.n, len(self.parts)) <= 1 << 16 else "L"
+        code = "H" if len(self.parts) <= 1 << 16 else "L"
+        agents = tuple(
+            part.spec._relabelled(part.contract_ids, piece)
+            for part, piece in zip(self.parts, slices)
+        )
         object.__setattr__(self, "_owner", array(code, owner))
-        object.__setattr__(self, "_local", array(code, local))
         object.__setattr__(self, "_slices", tuple(slices))
-
-    def _to_local(self, p: int, subset: int) -> int:
-        """Part ``p``'s share of ``subset``, in its local ids."""
-        local = self._local
-        share, out = subset & self._slices[p], 0
-        while share:
-            low = share & -share
-            out |= 1 << local[low.bit_length() - 1]
-            share ^= low
-        return out
-
-    def _to_global(self, p: int, local_mask: int) -> int:
-        """Part ``p``'s local subset ``local_mask``, in global ids."""
-        ids, out = self.parts[p].contract_ids, 0
-        while local_mask:
-            low = local_mask & -local_mask
-            out |= 1 << ids[low.bit_length() - 1]
-            local_mask ^= low
-        return out
-
-    def _part_choice(self, p: int, subset: int) -> int:
-        """Part ``p``'s choice from its share of ``subset``, in global ids."""
-        return self._to_global(p, self.parts[p].spec.choose_mask(self._to_local(p, subset)))
+        object.__setattr__(self, "_agents", agents)
 
     def _choose(self, subset: int) -> int:
         chosen = 0
-        for p in range(len(self.parts)):
-            chosen |= self._part_choice(p, subset)
+        for agent in self._agents:
+            chosen |= agent._choose(subset)
         return chosen
 
     def _kept_additions(self, subset: int, candidates: int) -> int:
-        """Each owner's share of ``subset`` is mapped to local ids once; each
-        of its candidates is then one evaluation, tested on its local bit."""
-        owner, local, kept = self._owner, self._local, 0
+        """Each owner of a candidate is asked once, about all of its candidates."""
+        owner, slices, agents, kept = self._owner, self._slices, self._agents, 0
         while candidates:
             p = owner[(candidates & -candidates).bit_length() - 1]
-            piece = self._slices[p]
-            choose, base = self.parts[p].spec.choose_mask, self._to_local(p, subset)
-            mine = candidates & piece
+            mine = candidates & slices[p]
             candidates ^= mine
-            while mine:
-                xbit = mine & -mine
-                lbit = 1 << local[xbit.bit_length() - 1]
-                if choose(base | lbit) & lbit:
-                    kept |= xbit
-                mine ^= xbit
+            kept |= agents[p]._kept_additions(subset, mine)
         return kept
 
     def rechoose(self, subset: int, prev_subset: int, prev_choice: int) -> int:
@@ -148,7 +122,7 @@ class AggregateChoice(ChoiceFunction):
         while changed:
             p = self._owner[(changed & -changed).bit_length() - 1]
             piece = self._slices[p]
-            chosen = chosen & ~piece | self._part_choice(p, subset)
+            chosen = chosen & ~piece | self._agents[p]._choose(subset)
             changed &= ~piece
         return chosen
 

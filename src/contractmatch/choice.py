@@ -19,16 +19,29 @@ candidate ``x`` kept from ``subset | {x}``, and ``rechoose`` re-evaluates a
 menu next to one already evaluated.  Both default to whole ``choose_mask``
 calls; :class:`~contractmatch.aggregation.AggregateChoice` overrides them to
 evaluate only the agents concerned.
+
+The ranking variants (:class:`TopOfOrder`, :class:`ResponsiveQuota`,
+:class:`UnionOfOrders`) share one evaluator, "the ``quota`` best available
+contracts of each order", in which "``x`` is kept from ``S | {x}``" is a
+single rank threshold.  ``_relabelled`` fits a function to a slice of a
+larger universe: a ranking is rewritten in global ids once,
+:class:`Identity` becomes the slice's mask, and any other function is
+evaluated through a per-call id mapping that calls its ``choose_mask`` and
+``kept_additions``.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, SpecError
-from .sets import bit, format_mask, full_mask, iter_submasks
+from . import limits
+from .errors import DomainError, SizeBoundError, SpecError
+from .sets import format_mask, full_mask, iter_submasks
 
 
 class ChoiceFunction:
@@ -37,7 +50,8 @@ class ChoiceFunction:
     Subclasses carry a universe size ``n`` and implement ``_choose`` on
     masks already checked to lie within the universe; they may override
     ``_kept_additions`` (also given checked masks) and ``rechoose`` to
-    evaluate less.
+    evaluate less, and ``_relabelled`` to evaluate on a larger universe
+    without mapping ids on every call.
     """
 
     n: int
@@ -71,6 +85,142 @@ class ChoiceFunction:
             candidates ^= xbit
         return kept
 
+    def _relabelled(self, ids: Sequence[int], piece: int):
+        """This function on the contracts ``ids`` (ascending) of a larger
+        universe, local id ``i`` being global id ``ids[i]``; ``piece`` is
+        their mask.
+
+        The evaluator's ``_choose(subset)`` and ``_kept_additions(subset,
+        candidates)`` take and return global masks that lie within the larger
+        universe, and answer for ``subset & piece`` and ``candidates & piece``
+        only.  This default maps each call's masks to local ids and back.
+        """
+        return _Mapped(self, ids, piece)
+
+
+class _Mapped:
+    """A function evaluated through ``choose_mask`` and ``kept_additions``
+    on local ids, mapped from and to global ids one set bit at a time."""
+
+    __slots__ = ("spec", "ids", "piece")
+
+    def __init__(self, spec: ChoiceFunction, ids: Sequence[int], piece: int):
+        self.spec, self.ids, self.piece = spec, ids, piece
+
+    def _to_local(self, subset: int) -> int:
+        ids, share, out = self.ids, subset & self.piece, 0
+        while share:
+            low = share & -share
+            out |= 1 << bisect_left(ids, low.bit_length() - 1)
+            share ^= low
+        return out
+
+    def _to_global(self, local_mask: int) -> int:
+        ids, out = self.ids, 0
+        while local_mask:
+            low = local_mask & -local_mask
+            out |= 1 << ids[low.bit_length() - 1]
+            local_mask ^= low
+        return out
+
+    def _choose(self, subset: int) -> int:
+        return self._to_global(self.spec.choose_mask(self._to_local(subset)))
+
+    def _kept_additions(self, subset: int, candidates: int) -> int:
+        local = self.spec.kept_additions(self._to_local(subset), self._to_local(candidates))
+        return self._to_global(local)
+
+
+class _Ranking:
+    """Chooses the ``quota`` best available contracts of each order.
+
+    Each order lists every contract of ``piece`` best-first, in whatever id
+    space the masks use; only ``subset & piece`` is looked at.  A menu share
+    of at most ``quota`` contracts is chosen whole without a walk.
+    """
+
+    __slots__ = ("orders", "quota", "piece")
+
+    def __init__(self, orders: Sequence[Sequence[int]], quota: int, piece: int):
+        self.orders, self.quota, self.piece = orders, quota, piece
+
+    def _choose(self, subset: int) -> int:
+        share, quota = subset & self.piece, self.quota
+        if share.bit_count() <= quota:
+            return share
+        chosen = 0
+        for order in self.orders:
+            left = quota
+            for c in order:
+                if not left:
+                    break
+                if share >> c & 1:
+                    chosen |= 1 << c
+                    left -= 1
+        return chosen
+
+    def _kept_additions(self, subset: int, candidates: int) -> int:
+        """``x`` is kept from ``S | {x}`` exactly when some order ranks ``x``
+        no lower than its ``quota``-th member of ``S``: one walk per order,
+        collecting every contract up to that member."""
+        share, quota = subset & self.piece, self.quota
+        if share.bit_count() < quota:
+            return candidates & self.piece
+        better = 0
+        for order in self.orders:
+            left = quota
+            for c in order:
+                if not left:
+                    break
+                better |= 1 << c
+                if share >> c & 1:
+                    left -= 1
+        return candidates & better
+
+
+class _Slice:
+    """:class:`Identity` on ``piece``: every contract of it is chosen."""
+
+    __slots__ = ("piece",)
+
+    def __init__(self, piece: int):
+        self.piece = piece
+
+    def _choose(self, subset: int) -> int:
+        return subset & self.piece
+
+    def _kept_additions(self, subset: int, candidates: int) -> int:
+        return candidates & self.piece
+
+
+class _RankingChoice(ChoiceFunction):
+    """A variant that chooses the ``quota`` best available contracts of each
+    of its orders, given by ``_orders_and_quota``.  Its own calls and its
+    relabelled form are both a :class:`_Ranking`."""
+
+    def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
+        raise NotImplementedError
+
+    @cached_property
+    def _ranking(self) -> _Ranking:
+        """The evaluator over local ids, built on the first direct call: an
+        agent inside an aggregate is only ever called relabelled."""
+        orders, quota = self._orders_and_quota()
+        return _Ranking(orders, quota, full_mask(self.n))
+
+    def _choose(self, subset: int) -> int:
+        return self._ranking._choose(subset)
+
+    def _kept_additions(self, subset: int, candidates: int) -> int:
+        return self._ranking._kept_additions(subset, candidates)
+
+    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
+        """The orders written in global ids once, as compact arrays."""
+        orders, quota = self._orders_and_quota()
+        code = "H" if piece.bit_length() <= 1 << 16 else "L"
+        global_orders = tuple(array(code, [ids[c] for c in order]) for order in orders)
+        return _Ranking(global_orders, quota, piece)
+
 
 @dataclass(frozen=True)
 class Identity(ChoiceFunction):
@@ -80,6 +230,9 @@ class Identity(ChoiceFunction):
 
     def _choose(self, subset: int) -> int:
         return subset
+
+    def _relabelled(self, ids: Sequence[int], piece: int) -> _Slice:
+        return _Slice(piece)
 
 
 @dataclass(frozen=True)
@@ -115,7 +268,7 @@ class TableChoice(ChoiceFunction):
 
 
 @dataclass(frozen=True)
-class TopOfOrder(ChoiceFunction):
+class TopOfOrder(_RankingChoice):
     """Chooses the single best available contract of a strict ranking.
 
     ``order`` lists every contract id of the universe, best-first.  The
@@ -128,15 +281,12 @@ class TopOfOrder(ChoiceFunction):
     def __post_init__(self) -> None:
         _validate_ranking(self.order, self.n)
 
-    def _choose(self, subset: int) -> int:
-        for contract in self.order:
-            if subset >> contract & 1:
-                return bit(contract)
-        return 0
+    def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
+        return (self.order,), 1
 
 
 @dataclass(frozen=True)
-class ResponsiveQuota(ChoiceFunction):
+class ResponsiveQuota(_RankingChoice):
     """Chooses the ``quota`` best available contracts of a strict ranking.
 
     ``order`` ranks every contract of the universe.  With ``quota=1`` this
@@ -152,20 +302,12 @@ class ResponsiveQuota(ChoiceFunction):
         if self.quota < 0:
             raise SpecError(f"quota must be non-negative, got {self.quota}")
 
-    def _choose(self, subset: int) -> int:
-        chosen = 0
-        left = self.quota
-        for contract in self.order:
-            if left == 0:
-                break
-            if subset >> contract & 1:
-                chosen |= bit(contract)
-                left -= 1
-        return chosen
+    def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
+        return (self.order,), self.quota
 
 
 @dataclass(frozen=True)
-class UnionOfOrders(ChoiceFunction):
+class UnionOfOrders(_RankingChoice):
     """Chooses the best available contract of each of several total orders.
 
     Every order must rank the whole universe.  Functions of this shape are
@@ -183,14 +325,8 @@ class UnionOfOrders(ChoiceFunction):
         for order in self.orders:
             _validate_ranking(order, self.n)
 
-    def _choose(self, subset: int) -> int:
-        chosen = 0
-        for order in self.orders:
-            for contract in order:
-                if subset >> contract & 1:
-                    chosen |= bit(contract)
-                    break
-        return chosen
+    def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
+        return self.orders, 1
 
 
 def _validate_ranking(order: Sequence[int], n: int) -> None:
@@ -271,7 +407,9 @@ class ValuationArgmax(ChoiceFunction):
     ``m``.  The scheme's prices are subtracted per chosen contract; the
     construction validates that the perturbed valuation has a *unique*
     maximizer on every menu and that this maximizer also attains the
-    unperturbed maximum.
+    unperturbed maximum.  That table costs ``3**n`` steps, so a universe
+    above :func:`~contractmatch.limits.pairwise_bound` raises
+    :class:`~contractmatch.errors.SizeBoundError` before it is built.
     """
 
     n: int
@@ -283,6 +421,12 @@ class ValuationArgmax(ChoiceFunction):
             raise SpecError(
                 f"valuation table covers {_universe_size(len(self.values))} contracts,"
                 f" expected {self.n}"
+            )
+        limit = limits.pairwise_bound()
+        if self.n > limit:
+            raise SizeBoundError(
+                f"valuation argmax refused: building its table takes 3^{self.n} steps"
+                f" for {self.n} contracts, bound is {limit}"
             )
         self._validate_scheme()
         perturbed = self._perturbed_values()

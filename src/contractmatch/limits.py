@@ -13,7 +13,8 @@ Environment variables:
   (contraction, rejection consistency, money monotonicity, full-mode
   stability).  Default 12.
 * ``CONTRACTMATCH_PAIRWISE_BOUND`` -- scans in the ``3**n`` / ``4**n`` class
-  (substitutes, path independence).  Default 10.
+  (substitutes, path independence, building a valuation argmax table).
+  Default 10.
 * ``CONTRACTMATCH_ORACLE_BOUND`` -- the ``2**n`` stable-agreement catalog
   enumeration.  Default 16.
 """

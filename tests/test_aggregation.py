@@ -14,7 +14,13 @@ from contractmatch.aggregation import (
     aggregate_side,
     build_marriage_instance,
 )
-from contractmatch.choice import Identity, TableChoice, TopOfOrder, UnionOfOrders
+from contractmatch.choice import (
+    Identity,
+    ResponsiveQuota,
+    TableChoice,
+    TopOfOrder,
+    UnionOfOrders,
+)
 from contractmatch.coherence import (
     check_coherent,
     check_contraction,
@@ -116,23 +122,31 @@ def test_label_locality():
 
 
 def _random_aggregate(rng: random.Random, n: int) -> AggregateChoice:
-    """1-3 agents over random slices.  Table agents choose arbitrary subsets
-    of their slice, never contracting on the empty menu (f({}) != {})."""
+    """1-3 agents over random slices, of every variant an aggregate relabels
+    (rankings and identity) and of tables, which it maps per call.  Table
+    agents choose arbitrary subsets of their slice, never contracting on the
+    empty menu (f({}) != {}); quotas run from 0 to the slice size."""
     owner = [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
     specs = {}
     for agent in set(owner):
         size = owner.count(agent)
-        kind = rng.choice(("table", "top", "union"))
+        kind = rng.choice(("table", "top", "union", "quota", "identity"))
         if kind == "table":
             entries = [rng.randrange(1 << size) for _ in range(1 << size)]
             entries[0] = rng.randrange(1, 1 << size)
             specs[f"a{agent}"] = TableChoice(size, tuple(entries))
         elif kind == "top":
             specs[f"a{agent}"] = TopOfOrder(size, tuple(rng.sample(range(size), size)))
-        else:
+        elif kind == "union":
             specs[f"a{agent}"] = UnionOfOrders(
                 size, tuple(tuple(rng.sample(range(size), size)) for _ in range(2))
             )
+        elif kind == "quota":
+            specs[f"a{agent}"] = ResponsiveQuota(
+                size, tuple(rng.sample(range(size), size)), rng.randint(0, size)
+            )
+        else:
+            specs[f"a{agent}"] = Identity(size)
     return aggregate_side(specs, [f"a{agent}" for agent in owner])
 
 

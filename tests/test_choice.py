@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contractmatch.choice import (
+    ChoiceFunction,
     Identity,
     PerturbationScheme,
     ResponsiveQuota,
@@ -22,7 +24,7 @@ from contractmatch.choice import (
     valuation_choice,
 )
 from contractmatch.errors import DomainError, SpecError
-from contractmatch.sets import iter_submasks
+from contractmatch.sets import full_mask, iter_submasks, mask_of
 
 from conftest import all_masks, deadline
 
@@ -143,6 +145,56 @@ def test_union_of_orders_chooses_available_tops(n, rnd):
                     expected |= 1 << c
                     break
         assert f.choose_mask(menu) == expected
+
+
+# ---------------------------------------------------------------------------
+# The ranking evaluator, locally and relabelled into a larger universe
+# ---------------------------------------------------------------------------
+
+
+def _ranking_variants(rng: random.Random, k: int) -> list[ChoiceFunction]:
+    order = tuple(rng.sample(range(k), k))
+    quotas = sorted({q for q in (0, 1, k - 1, k, k + 1) if q >= 0})
+    return [
+        Identity(k),
+        TopOfOrder(k, order),
+        UnionOfOrders(k, tuple(tuple(rng.sample(range(k), k)) for _ in range(3))),
+        *(ResponsiveQuota(k, order, q) for q in quotas),
+    ]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_ranking_evaluator_matches_the_generic_paths(k):
+    """The threshold walk of ``_kept_additions`` against the base-class loop
+    over ``choose_mask``, and each relabelled evaluator on a scattered slice
+    of a 10-contract universe against the base mapping evaluator."""
+    rng = random.Random(k)
+    ids = tuple(sorted(rng.sample(range(10), k)))
+    piece = mask_of(ids)
+    outside = full_mask(10) & ~piece
+
+    def spread(local: int) -> int:
+        return mask_of(ids[i] for i in range(k) if local >> i & 1)
+
+    for f in _ranking_variants(rng, k):
+        if isinstance(f, ResponsiveQuota):
+            for menu in all_masks(k):
+                best = [c for c in f.order if menu >> c & 1][: f.quota]
+                assert f.choose_mask(menu) == mask_of(best)
+        fast = f._relabelled(ids, piece)
+        mapped = ChoiceFunction._relabelled(f, ids, piece)
+        for subset in all_masks(k):
+            # Contracts outside the slice must not change the answers.
+            g_subset = spread(subset) | rng.getrandbits(10) & outside
+            assert fast._choose(g_subset) == mapped._choose(g_subset) == spread(
+                f.choose_mask(subset)
+            )
+            for candidates in all_masks(k):
+                expected = ChoiceFunction._kept_additions(f, subset, candidates)
+                assert f.kept_additions(subset, candidates) == expected
+                g_candidates = spread(candidates) | rng.getrandbits(10) & outside
+                assert fast._kept_additions(g_subset, g_candidates) == spread(expected)
+                assert mapped._kept_additions(g_subset, g_candidates) == spread(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from contractmatch.cli import main
 from contractmatch.corpus import FIXTURE_DIR, fixture_path
-from contractmatch.instancefile import save
+from contractmatch.errors import SizeBoundError
+from contractmatch.instancefile import load, save
 
 from conftest import cycling_instance, deadline
 
@@ -387,6 +390,33 @@ def test_exit_3_on_oversized_exhaustive_check(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 3
     assert "refused" in err
+
+
+def test_exit_3_on_oversized_valuation_block(tmp_path, monkeypatch, capsys):
+    """Building a valuation argmax costs 3^k, so a block above the pairwise
+    bound is refused while the file loads, before the table is built."""
+    names = ["a", "b", "c"]
+    values = [
+        {"set": [x for i, x in enumerate(names) if m >> i & 1], "value": m.bit_count()}
+        for m in range(8)
+    ]
+    doc = {
+        "schema_version": 1,
+        "contracts": names,
+        "choice": {
+            "side1": {"variant": "valuation_argmax", "values": values},
+            "side2": {"variant": "identity"},
+        },
+    }
+    path = tmp_path / "valuation.json"
+    path.write_text(json.dumps(doc))
+    assert load(path).instance.n == 3
+    monkeypatch.setenv("CONTRACTMATCH_PAIRWISE_BOUND", "2")
+    with pytest.raises(SizeBoundError, match="valuation argmax refused"):
+        load(path)
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == 3
+    assert err.startswith("refused: valuation argmax refused") and "3^3" in err
 
 
 def test_exit_2_on_bad_bound_variable(monkeypatch, capsys):

@@ -513,6 +513,38 @@ def test_verdict_evaluates_each_outside_contract_once_per_keeping_side(k):
             assert tally[0] == outside.bit_count() + kept1
 
 
+class ChooseMaskOnly(ChoiceFunction):
+    """Forwards ``choose_mask`` alone, as the benchmark's counting wrapper
+    does: every other method is the base-class default over it."""
+
+    def __init__(self, inner: ChoiceFunction):
+        self.inner, self.n = inner, inner.n
+
+    def choose_mask(self, subset: int) -> int:
+        return self.inner.choose_mask(subset)
+
+
+def _wrapped(f: AggregateChoice) -> ChoiceFunction:
+    parts = tuple(
+        AggregatePart(p.agent, ChooseMaskOnly(p.spec), p.contract_ids) for p in f.parts
+    )
+    return ChooseMaskOnly(AggregateChoice(f.n, parts))
+
+
+def test_wrapped_agents_and_sides_give_the_same_runs():
+    """Agents and sides that define only ``choose_mask`` are evaluated through
+    the generic paths (the id-mapping evaluator, the whole-side defaults) and
+    must give the same outcome, trace and verdicts as the bare instance."""
+    instances = (
+        build_marriage_instance(*random_marriage_profile(1, 16, 16)),
+        random_instance(1, 200, 5, 20),
+    )
+    for inst in instances:
+        wrapped = dataclasses.replace(inst, f1=_wrapped(inst.f1), f2=_wrapped(inst.f2))
+        for proposer in (1, 2):
+            assert run(wrapped, proposer) == run(inst, proposer)
+
+
 def test_80x80_marriage_is_fast():
     inst = build_marriage_instance(*random_marriage_profile(1, 80, 80))
     with deadline(10):
