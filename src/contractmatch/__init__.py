@@ -19,178 +19,133 @@ Layers:
 - :mod:`contractmatch.market` — priced contracts and the two-price law
 - :mod:`contractmatch.instancefile` — the JSON file format
 - :mod:`contractmatch.cli` — the ``contractmatch`` command
+
+The public names below are re-exported lazily (PEP 562): a submodule is
+imported on first access to a name it defines, so ``import contractmatch``
+costs no more than the names a program actually uses.
 """
 
-from .aggregation import (
-    AggregateChoice,
-    AggregatePart,
-    aggregate_side,
-    build_marriage_instance,
-)
-from .choice import (
-    ChoiceFunction,
-    Identity,
-    PerturbationScheme,
-    ResponsiveQuota,
-    TableChoice,
-    TopOfOrder,
-    UnionOfOrders,
-    ValuationArgmax,
-    convolve_valuations,
-    tabulate,
-    union_of_orders_choice,
-    valuation_choice,
-)
-from .coherence import (
-    AXIOM_CONTRACTION,
-    AXIOM_IRC,
-    AXIOM_PATH,
-    AXIOM_SUBSTITUTES,
-    CoherenceReport,
-    ViolationReport,
-    check_coherent,
-    check_contraction,
-    check_irc,
-    check_path_independence,
-    check_substitutes,
-)
-from .engine import (
-    MODE_FULL,
-    MODE_SINGLETON,
-    AgreementVerdict,
-    ContractLabel,
-    Instance,
-    SolveResult,
-    StabilityVerdict,
-    StableAgreementVerdict,
-    Trace,
-    auto_names,
-    is_agreement,
-    is_stable_agreement,
-    is_stable_set,
-    join,
-    meet,
-    run,
-)
-from .errors import (
-    DomainError,
-    ParseError,
-    PreconditionError,
-    SizeBoundError,
-    SpecError,
-)
-from .instancefile import LoadedFile, load, parse_document, save, to_document
-from .market import (
-    LinearProducerChoice,
-    MarketContract,
-    MoneyEconomy,
-    MoneyMonotoneReport,
-    NoShortageReport,
-    TwoPriceReport,
-    UnitDemandConsumerChoice,
-    build_linear_producer,
-    build_money_economy,
-    build_unit_demand_consumer,
-    check_money_monotone,
-    check_no_shortage,
-    check_two_prices,
-)
-from .oracle import (
-    StableSetCatalog,
-    brute_glb,
-    brute_lub,
-    classical_gale_shapley,
-    enumerate_stable_agreements,
-)
-from .preference import (
-    COHERENCE_ASSERTED,
-    COHERENCE_CHECKED,
-    COHERENCE_UNKNOWN,
-    PreferenceVerdict,
-    closure,
-    indifferent,
-    prefers,
-)
+import sys as _sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateChoice",
-    "AggregatePart",
-    "AgreementVerdict",
-    "AXIOM_CONTRACTION",
-    "AXIOM_IRC",
-    "AXIOM_PATH",
-    "AXIOM_SUBSTITUTES",
-    "COHERENCE_ASSERTED",
-    "COHERENCE_CHECKED",
-    "COHERENCE_UNKNOWN",
-    "ChoiceFunction",
-    "CoherenceReport",
-    "ContractLabel",
-    "DomainError",
-    "Identity",
-    "Instance",
-    "LinearProducerChoice",
-    "LoadedFile",
-    "MarketContract",
-    "MODE_FULL",
-    "MODE_SINGLETON",
-    "MoneyEconomy",
-    "MoneyMonotoneReport",
-    "NoShortageReport",
-    "ParseError",
-    "PerturbationScheme",
-    "PreconditionError",
-    "PreferenceVerdict",
-    "ResponsiveQuota",
-    "SizeBoundError",
-    "SolveResult",
-    "SpecError",
-    "StabilityVerdict",
-    "StableAgreementVerdict",
-    "StableSetCatalog",
-    "TableChoice",
-    "TopOfOrder",
-    "Trace",
-    "TwoPriceReport",
-    "UnionOfOrders",
-    "UnitDemandConsumerChoice",
-    "ValuationArgmax",
-    "ViolationReport",
-    "aggregate_side",
-    "auto_names",
-    "brute_glb",
-    "brute_lub",
-    "build_linear_producer",
-    "build_marriage_instance",
-    "build_money_economy",
-    "build_unit_demand_consumer",
-    "check_coherent",
-    "check_contraction",
-    "check_irc",
-    "check_money_monotone",
-    "check_no_shortage",
-    "check_path_independence",
-    "check_substitutes",
-    "check_two_prices",
-    "classical_gale_shapley",
-    "closure",
-    "convolve_valuations",
-    "enumerate_stable_agreements",
-    "indifferent",
-    "is_agreement",
-    "is_stable_agreement",
-    "is_stable_set",
-    "join",
-    "load",
-    "meet",
-    "parse_document",
-    "prefers",
-    "run",
-    "save",
-    "tabulate",
-    "to_document",
-    "union_of_orders_choice",
-    "valuation_choice",
-]
+# Each submodule reachable as an attribute of the package, with the public
+# names it re-exports (``limits`` and ``sets`` re-export none).
+_EXPORTS = {
+    "aggregation": (
+        "AggregateChoice",
+        "AggregatePart",
+        "aggregate_side",
+        "build_marriage_instance",
+    ),
+    "choice": (
+        "ChoiceFunction",
+        "Identity",
+        "PerturbationScheme",
+        "ResponsiveQuota",
+        "TableChoice",
+        "TopOfOrder",
+        "UnionOfOrders",
+        "ValuationArgmax",
+        "convolve_valuations",
+        "tabulate",
+        "union_of_orders_choice",
+        "valuation_choice",
+    ),
+    "coherence": (
+        "AXIOM_CONTRACTION",
+        "AXIOM_IRC",
+        "AXIOM_PATH",
+        "AXIOM_SUBSTITUTES",
+        "CoherenceReport",
+        "ViolationReport",
+        "check_coherent",
+        "check_contraction",
+        "check_irc",
+        "check_path_independence",
+        "check_substitutes",
+    ),
+    "engine": (
+        "MODE_FULL",
+        "MODE_SINGLETON",
+        "AgreementVerdict",
+        "ContractLabel",
+        "Instance",
+        "SolveResult",
+        "StabilityVerdict",
+        "StableAgreementVerdict",
+        "Trace",
+        "auto_names",
+        "is_agreement",
+        "is_stable_agreement",
+        "is_stable_set",
+        "join",
+        "meet",
+        "run",
+    ),
+    "errors": (
+        "DomainError",
+        "ParseError",
+        "PreconditionError",
+        "SizeBoundError",
+        "SpecError",
+    ),
+    "instancefile": ("LoadedFile", "load", "parse_document", "save", "to_document"),
+    "limits": (),
+    "market": (
+        "LinearProducerChoice",
+        "MarketContract",
+        "MoneyEconomy",
+        "MoneyMonotoneReport",
+        "NoShortageReport",
+        "TwoPriceReport",
+        "UnitDemandConsumerChoice",
+        "build_linear_producer",
+        "build_money_economy",
+        "build_unit_demand_consumer",
+        "check_money_monotone",
+        "check_no_shortage",
+        "check_two_prices",
+    ),
+    "oracle": (
+        "StableSetCatalog",
+        "brute_glb",
+        "brute_lub",
+        "classical_gale_shapley",
+        "enumerate_stable_agreements",
+    ),
+    "preference": (
+        "COHERENCE_ASSERTED",
+        "COHERENCE_CHECKED",
+        "COHERENCE_UNKNOWN",
+        "PreferenceVerdict",
+        "closure",
+        "indifferent",
+        "prefers",
+    ),
+    "sets": (),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the submodule behind a public name (or the submodule itself) on
+    first access; later accesses find the value in the package namespace."""
+    module = _MODULE_OF.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import statement's machinery, unlike importlib.import_module, is
+    # what ``python -X importtime`` reports on.
+    qualified = f"{__name__}.{module}"
+    __import__(qualified)
+    value = _sys.modules[qualified]
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import product, starmap
 from typing import Mapping, Sequence
 
 from .choice import ChoiceFunction, TopOfOrder
@@ -181,26 +182,31 @@ def build_marriage_instance(
                 f"woman {j}: preference list must rank every man exactly once"
             )
 
-    names = tuple(
-        f"m{i + 1}_w{j + 1}" for i in range(n_men) for j in range(n_women)
-    )
-    men_specs = {
-        f"m{i + 1}": TopOfOrder(n_women, tuple(men_prefs[i])) for i in range(n_men)
-    }
-    men_owner = [f"m{i + 1}" for i in range(n_men) for _ in range(n_women)]
-    women_specs = {
-        f"w{j + 1}": TopOfOrder(n_men, tuple(women_prefs[j])) for j in range(n_women)
-    }
-    women_owner = [f"w{j + 1}" for _ in range(n_men) for j in range(n_women)]
-    labels = tuple(
-        ContractLabel(f"m{i + 1}", f"w{j + 1}")
-        for i in range(n_men)
-        for j in range(n_women)
-    )
+    men = [f"m{i + 1}" for i in range(n_men)]
+    women = [f"w{j + 1}" for j in range(n_women)]
+    if bool(men) != bool(women):  # the same refusal as aggregate_side's
+        raise SpecError(f"agents {sorted(men or women)} declared but own no contracts")
+    # Man i owns the contiguous ids i*n_women.., woman j every n_women-th id from j.
+    n = n_men * n_women
     return Instance(
-        names=names,
-        f1=aggregate_side(men_specs, men_owner),
-        f2=aggregate_side(women_specs, women_owner),
-        labels=labels,
+        names=tuple(map("_".join, product(men, women))),
+        f1=_marriage_side(
+            n, men, men_prefs, [range(i * n_women, (i + 1) * n_women) for i in range(n_men)]
+        ),
+        f2=_marriage_side(n, women, women_prefs, [range(j, n, n_women) for j in range(n_women)]),
+        labels=tuple(starmap(ContractLabel, product(men, women))),
         coherence=COHERENCE_ASSERTED,
     )
+
+
+def _marriage_side(
+    n: int, agents: Sequence[str], prefs: Sequence[Sequence[int]], slices: Sequence[range]
+) -> AggregateChoice:
+    """One side of a marriage market: agent ``a`` ranks its slice ``slices[a]``
+    by ``prefs[a]``.  Parts are ordered by agent name, as in
+    :func:`aggregate_side`."""
+    parts = []
+    for a in sorted(range(len(agents)), key=agents.__getitem__):
+        spec = TopOfOrder(len(slices[a]), tuple(prefs[a]))
+        parts.append(AggregatePart(agents[a], spec, tuple(slices[a])))
+    return AggregateChoice(n, tuple(parts))

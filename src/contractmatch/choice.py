@@ -331,6 +331,10 @@ class UnionOfOrders(_RankingChoice):
 
 def _validate_ranking(order: Sequence[int], n: int) -> None:
     """Require ``order`` to be a permutation of ``0 .. n-1``."""
+    # A valid ranking passes this one C-speed test; the walk below only names
+    # the fault.  Sets, unlike sorted(), accept elements of mixed types.
+    if len(order) == n and set(order) == set(range(n)):
+        return
     if len(set(order)) != len(order):
         raise SpecError(f"ranking {order!r} repeats a contract")
     for contract in order:

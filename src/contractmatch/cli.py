@@ -12,6 +12,9 @@ Subcommands operate on instance files (see :mod:`contractmatch.instancefile`):
 Exit codes: 0 success, 1 a requested check found violations, 2 the input
 could not be parsed or is semantically invalid, 3 an exhaustive check was
 refused because the instance exceeds the configured size bounds.
+
+Each subcommand imports the checkers it runs (coherence, market, oracle)
+itself, so ``solve`` starts without loading any of them.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import limits
 from .aggregation import AggregateChoice
-from .coherence import CoherenceReport, check_coherent
 from .engine import Instance, join, meet, run
 from .errors import (
     DomainError,
@@ -33,12 +35,6 @@ from .errors import (
     SpecError,
 )
 from .instancefile import load
-from .market import (
-    check_money_monotone,
-    check_no_shortage,
-    check_two_prices,
-)
-from .oracle import StableSetCatalog, brute_glb, brute_lub, enumerate_stable_agreements
 from .preference import (
     COHERENCE_CHECKED,
     COHERENCE_UNKNOWN,
@@ -47,6 +43,10 @@ from .preference import (
     prefers,
 )
 from .sets import format_mask
+
+if TYPE_CHECKING:
+    from .coherence import CoherenceReport
+    from .oracle import StableSetCatalog
 
 
 def _emit(args: argparse.Namespace, payload: dict, human_lines: Sequence[str]) -> None:
@@ -79,6 +79,8 @@ def _validate_side(
     instance: Instance, side: int
 ) -> tuple[dict[str, Any], list[str], bool]:
     """Check one side's choice functions.  Returns (payload, lines, ok)."""
+    from .coherence import check_coherent
+
     f = instance.side(side)
     payload: dict[str, Any] = {}
     lines: list[str] = []
@@ -124,6 +126,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         lines.extend(side_lines)
         ok = ok and side_ok
     if loaded.economy is not None:
+        from .market import check_money_monotone, check_no_shortage
+
         shortage = check_no_shortage(loaded.economy)
         money = check_money_monotone(loaded.economy)
         payload["market"] = {
@@ -208,6 +212,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
+    from .oracle import brute_glb, brute_lub, enumerate_stable_agreements
+
     loaded = load(args.file)
     instance = loaded.instance
     catalog = enumerate_stable_agreements(instance)
@@ -265,6 +271,9 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def cmd_market(args: argparse.Namespace) -> int:
+    from .market import check_money_monotone, check_no_shortage, check_two_prices
+    from .oracle import enumerate_stable_agreements
+
     loaded = load(args.file)
     if loaded.economy is None:
         raise ParseError("this file has no market section", "market")
@@ -360,6 +369,8 @@ def cmd_market(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import enumerate_stable_agreements
+
     loaded = load(args.file)
     instance = loaded.instance
     catalog = enumerate_stable_agreements(instance)
@@ -397,6 +408,8 @@ def _parse_name_list(raw: str, instance: Instance, flag: str) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    from .coherence import check_coherent
+
     loaded = load(args.file)
     instance = loaded.instance
     f = instance.side(args.side)

@@ -18,6 +18,8 @@ names.  Exact rationals are written as ints or ``"p/q"`` strings (floats
 are rejected).  Unknown variant tags and malformed payloads raise
 :class:`~contractmatch.errors.ParseError` carrying the dotted position of
 the offending element.  ``parse -> serialize -> parse`` is the identity.
+:mod:`contractmatch.market` is imported only for a file with a market
+section or a market variant.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .aggregation import AggregateChoice, AggregatePart
 from .choice import (
@@ -41,15 +43,10 @@ from .choice import (
 )
 from .engine import ContractLabel, Instance
 from .errors import ParseError
-from .market import (
-    LinearProducerChoice,
-    MarketContract,
-    MoneyEconomy,
-    UnitDemandConsumerChoice,
-    build_linear_producer,
-    build_unit_demand_consumer,
-)
 from .sets import format_mask, ids_of, subset_names
+
+if TYPE_CHECKING:
+    from .market import MarketContract, MoneyEconomy
 
 SCHEMA_VERSION = 1
 
@@ -235,12 +232,16 @@ def _parse_spec(
     if tag == "linear_producer":
         _expect(side == 1, "linear_producer agents belong on side 1", loc)
         _expect(market is not None, "linear_producer needs a market section", loc)
+        from .market import build_linear_producer
+
         costs = _parse_agent_numbers(body.get("costs"), market, f"{loc}.costs")
         return build_linear_producer(market.slice_contracts, market.grid, costs)
 
     if tag == "unit_demand_consumer":
         _expect(side == 2, "unit_demand_consumer agents belong on side 2", loc)
         _expect(market is not None, "unit_demand_consumer needs a market section", loc)
+        from .market import build_unit_demand_consumer
+
         wtp = _parse_agent_numbers(body.get("wtp"), market, f"{loc}.wtp")
         return build_unit_demand_consumer(market.slice_contracts, market.grid, wtp)
 
@@ -318,6 +319,8 @@ def _spec_to_json(spec: ChoiceFunction, local_names: Sequence[str]) -> dict:
             "epsilon": _fraction_to_json(spec.scheme.epsilon),
             "prices": [_fraction_to_json(p) for p in spec.scheme.prices],
         }
+    from .market import LinearProducerChoice, UnitDemandConsumerChoice
+
     if isinstance(spec, LinearProducerChoice):
         return {"variant": "linear_producer", "costs": dict(spec.unit_costs)}
     if isinstance(spec, UnitDemandConsumerChoice):
@@ -356,6 +359,8 @@ def parse_document(doc: Any) -> LoadedFile:
     grid: tuple[int, ...] = ()
     templates: tuple[str, ...] = ()
     if "market" in body:
+        from .market import MarketContract, MoneyEconomy
+
         market_body = _expect_dict(body["market"], "market")
         raw_grid = _expect_list(market_body.get("prices"), "market.prices")
         grid = tuple(

@@ -17,11 +17,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def bit(contract: int) -> int:
-    """The singleton subset ``{contract}``."""
-    return 1 << contract
-
-
 def mask_of(contracts: Iterable[int]) -> int:
     """Build a subset mask from an iterable of contract ids."""
     mask = 0

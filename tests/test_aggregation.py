@@ -28,7 +28,10 @@ from contractmatch.coherence import (
     check_substitutes,
 )
 from contractmatch.corpus import no_stable_agreement_instance
+from contractmatch.engine import ContractLabel, Instance
 from contractmatch.errors import DomainError, SpecError
+from contractmatch.generators import random_marriage_profile
+from contractmatch.preference import COHERENCE_ASSERTED
 from contractmatch.sets import mask_of
 
 from conftest import (
@@ -273,3 +276,44 @@ def test_marriage_rectangular():
     assert inst.n == 3
     assert inst.f1.choose_mask(0b111) == 0b001
     assert inst.f2.choose_mask(0b111) == 0b111  # three women, one offer each
+
+
+def _marriage_via_aggregate_side(men_prefs, women_prefs) -> Instance:
+    """Reference: the marriage instance built through the general builder,
+    one owner name per contract."""
+    n_men, n_women = len(men_prefs), len(women_prefs)
+    men_specs = {f"m{i + 1}": TopOfOrder(n_women, tuple(men_prefs[i])) for i in range(n_men)}
+    women_specs = {f"w{j + 1}": TopOfOrder(n_men, tuple(women_prefs[j])) for j in range(n_women)}
+    men_owner = [f"m{i + 1}" for i in range(n_men) for _ in range(n_women)]
+    women_owner = [f"w{j + 1}" for _ in range(n_men) for j in range(n_women)]
+    return Instance(
+        names=tuple(f"m{i + 1}_w{j + 1}" for i in range(n_men) for j in range(n_women)),
+        f1=aggregate_side(men_specs, men_owner),
+        f2=aggregate_side(women_specs, women_owner),
+        labels=tuple(ContractLabel(m, w) for m, w in zip(men_owner, women_owner)),
+        coherence=COHERENCE_ASSERTED,
+    )
+
+
+@pytest.mark.parametrize("n_men, n_women", [(1, 1), (3, 5), (5, 3), (12, 12)])
+def test_marriage_instance_equals_the_aggregate_side_build(n_men, n_women):
+    men, women = random_marriage_profile(n_men * 100 + n_women, n_men, n_women)
+    built = build_marriage_instance(men, women)
+    expected = _marriage_via_aggregate_side(men, women)
+    assert built == expected
+    assert built.names == expected.names and built.labels == expected.labels
+    for side in (1, 2):
+        assert built.side(side).parts == expected.side(side).parts
+    if n_men >= 10:  # parts are in name order, so m10 comes before m2
+        agents = [part.agent for part in built.f1.parts]
+        assert agents.index("m10") < agents.index("m2")
+
+
+@pytest.mark.parametrize("n_men, n_women", [(0, 3), (3, 0), (0, 12)])
+def test_marriage_with_an_empty_side_is_rejected(n_men, n_women):
+    men, women = [[]] * n_men, [[]] * n_women
+    with pytest.raises(SpecError) as expected:
+        _marriage_via_aggregate_side(men, women)
+    with pytest.raises(SpecError, match="declared but own no contracts") as raised:
+        build_marriage_instance(men, women)
+    assert str(raised.value) == str(expected.value)

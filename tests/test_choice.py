@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,13 +86,25 @@ def test_top_of_order():
 
 
 def test_ranking_validation():
-    with pytest.raises(SpecError, match="repeats"):
+    # Each rejected ranking sits next to an accepted one of the same shape.
+    assert TopOfOrder(2, (1, 0)).order == (1, 0)
+    with pytest.raises(SpecError, match=re.escape("ranking (0, 0) repeats a contract")):
         TopOfOrder(3, (0, 0))
-    with pytest.raises(SpecError, match="outside the universe"):
+    with pytest.raises(SpecError, match=re.escape("ranking (0, 1, 1) repeats a contract")):
+        TopOfOrder(3, (0, 1, 1))
+    assert TopOfOrder(2, (0, 1)).order == (0, 1)
+    with pytest.raises(
+        SpecError, match=re.escape("ranking (0, 5) names contract 5 outside the universe")
+    ):
         TopOfOrder(2, (0, 5))
-    with pytest.raises(SpecError, match="rank every contract of the 3-contract universe"):
+    with pytest.raises(SpecError, match="names contract -1 outside the universe"):
+        TopOfOrder(2, (-1, 0))
+    assert TopOfOrder(3, (2, 0, 1)).order == (2, 0, 1)
+    short = "must rank every contract of the 3-contract universe exactly once"
+    with pytest.raises(SpecError, match=re.escape(f"ranking (2, 0) {short}")):
         TopOfOrder(3, (2, 0))
-    with pytest.raises(SpecError, match="rank every contract of the 3-contract universe"):
+    assert ResponsiveQuota(3, (1, 2, 0), 1).order == (1, 2, 0)
+    with pytest.raises(SpecError, match=re.escape(f"ranking (1,) {short}")):
         ResponsiveQuota(3, (1,), 1)
 
 

@@ -439,12 +439,112 @@ def test_exit_2_on_partial_order(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# A literal copy of ``contractmatch.__all__``: the lazy re-export must keep
+# every one of these names resolvable.
+PUBLIC_NAMES = (
+    "AggregateChoice", "AggregatePart", "AgreementVerdict", "AXIOM_CONTRACTION", "AXIOM_IRC",
+    "AXIOM_PATH", "AXIOM_SUBSTITUTES", "COHERENCE_ASSERTED", "COHERENCE_CHECKED",
+    "COHERENCE_UNKNOWN", "ChoiceFunction", "CoherenceReport", "ContractLabel", "DomainError",
+    "Identity", "Instance", "LinearProducerChoice", "LoadedFile", "MarketContract", "MODE_FULL",
+    "MODE_SINGLETON", "MoneyEconomy", "MoneyMonotoneReport", "NoShortageReport", "ParseError",
+    "PerturbationScheme", "PreconditionError", "PreferenceVerdict", "ResponsiveQuota",
+    "SizeBoundError", "SolveResult", "SpecError", "StabilityVerdict", "StableAgreementVerdict",
+    "StableSetCatalog", "TableChoice", "TopOfOrder", "Trace", "TwoPriceReport", "UnionOfOrders",
+    "UnitDemandConsumerChoice", "ValuationArgmax", "ViolationReport", "aggregate_side",
+    "auto_names", "brute_glb", "brute_lub", "build_linear_producer", "build_marriage_instance",
+    "build_money_economy", "build_unit_demand_consumer", "check_coherent", "check_contraction",
+    "check_irc", "check_money_monotone", "check_no_shortage", "check_path_independence",
+    "check_substitutes", "check_two_prices", "classical_gale_shapley", "closure",
+    "convolve_valuations", "enumerate_stable_agreements", "indifferent", "is_agreement",
+    "is_stable_agreement", "is_stable_set", "join", "load", "meet", "parse_document", "prefers",
+    "run", "save", "tabulate", "to_document", "union_of_orders_choice", "valuation_choice",
+)
+
+# Run in a fresh interpreter: the modules loaded after each stage, then the
+# public names that fail to resolve.
+_FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m.rpartition(".")[2] for m in sys.modules
+                  if m.startswith("contractmatch.") or m == "numpy")
+
+stages = {}
+import contractmatch
+stages["package"] = loaded()
+import contractmatch.cli
+stages["cli"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = contractmatch.cli.main(["solve", sys.argv[1], "--json"])
+stages["solve"] = loaded()
+missing = []
+for name in json.loads(sys.argv[2]):
+    try:
+        getattr(contractmatch, name)
+    except AttributeError:
+        missing.append(name)
+print(json.dumps({"stages": stages, "code": code, "missing": missing,
+                  "all": sorted(contractmatch.__all__), "dir": dir(contractmatch)}))
+"""
+
+
 def test_import_leaves_numpy_unloaded():
-    probe = "import sys, contractmatch.cli; print('numpy' in sys.modules)"
+    """Modules load on first use: the package import loads no submodule, the
+    CLI import no checker, and ``solve`` no checker it does not run."""
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [
+            sys.executable, "-c", _FOOTPRINT_PROBE,
+            str(fixture_path("marriage_3x3")), json.dumps(PUBLIC_NAMES),
+        ],
+        capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    probe = json.loads(out)
+    stages = probe["stages"]
+    assert stages["package"] == []
+    assert not {"market", "oracle", "coherence", "generators", "corpus", "numpy"} & set(
+        stages["cli"]
+    )
+    assert probe["code"] == 0
+    assert not {"market", "oracle", "coherence", "numpy"} & set(stages["solve"])
+    assert probe["missing"] == []
+    assert probe["all"] == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(probe["dir"])
+
+
+# One form per subcommand; each runs in a fresh interpreter, where a module
+# that a subcommand uses but does not import itself would fail.
+_COLD_FORMS = (
+    ("validate",),
+    ("solve",),
+    ("lattice",),
+    ("market",),
+    ("oracle",),
+    ("query", "--op", "prefers"),
+)
+
+
+@pytest.mark.parametrize("fixture", ["marriage_3x3", "economy_small"])
+def test_subcommands_in_a_cold_process_match_in_process_runs(fixture, capsys):
+    path = fixture_path(fixture)
+    names = json.loads(path.read_text())["contracts"]
+    argvs = []
+    for form in _COLD_FORMS:
+        argv = [form[0], str(path), "--json", *form[1:]]
+        if form[0] == "query":
+            argv += ["-A", names[0], "-B", names[-1]]
+        argvs.append(argv)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "contractmatch.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in argvs
+    ]
+    for argv, proc in zip(argvs, procs):
+        stdout, stderr = proc.communicate(timeout=60)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, stdout) == (code, out), (argv, stderr)
+        assert "Traceback" not in stderr
 
 
 def test_json_output_is_byte_deterministic(capsys):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contractmatch.sets import (
-    bit,
     format_mask,
     full_mask,
     ids_of,
@@ -26,9 +25,7 @@ def test_full_mask():
     assert full_mask(4) == 0b1111
 
 
-def test_bit_and_mask_of():
-    assert bit(0) == 1
-    assert bit(3) == 8
+def test_mask_of():
     assert mask_of([]) == 0
     assert mask_of([0, 2]) == 0b101
     assert mask_of([2, 0, 2]) == 0b101
