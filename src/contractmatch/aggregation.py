@@ -11,11 +11,11 @@ Agents' functions are written over their own compact universe
 (``0 .. len(slice)-1``, in ascending order of the global ids they own);
 :class:`AggregatePart` records the translation.  :class:`AggregateChoice`
 writes each agent in global ids once, when the side is built (see
-``ChoiceFunction._relabelled``): a ranking agent becomes its ranking over
-global ids, so every later call is one walk on global masks, and only an
-agent without a ranking maps ids on each call.  Its ``kept_additions`` asks
-each owner once about all of its candidates, and its ``rechoose`` evaluates
-only the agents whose share of the menu changed.
+``ChoiceFunction._relabelled``): a ranking or market consumer becomes a walk
+and a filter or market producer a mask over global ids, and only tables,
+valuations and foreign subclasses map ids on each call.  Its
+``kept_additions`` asks each owner once about all of its candidates, and its
+``rechoose`` evaluates only the agents whose share of the menu changed.
 """
 
 from __future__ import annotations

@@ -20,14 +20,14 @@ menu next to one already evaluated.  Both default to whole ``choose_mask``
 calls; :class:`~contractmatch.aggregation.AggregateChoice` overrides them to
 evaluate only the agents concerned.
 
-The ranking variants (:class:`TopOfOrder`, :class:`ResponsiveQuota`,
-:class:`UnionOfOrders`) share one evaluator, "the ``quota`` best available
-contracts of each order", in which "``x`` is kept from ``S | {x}``" is a
-single rank threshold.  ``_relabelled`` fits a function to a slice of a
-larger universe: a ranking is rewritten in global ids once,
-:class:`Identity` becomes the slice's mask, and any other function is
-evaluated through a per-call id mapping that calls its ``choose_mask`` and
-``kept_additions``.
+The rankings (:class:`TopOfOrder`, :class:`ResponsiveQuota`,
+:class:`UnionOfOrders`, the market's unit-demand consumer) share one
+evaluator, "the ``quota`` best available contracts of each order", where
+"``x`` is kept from ``S | {x}``" is one rank threshold.  ``_relabelled``
+fits a function to a slice of a larger universe: a ranking is rewritten in
+global ids once, :class:`Identity` and the market's linear producer become
+a mask, and only tables, valuations and foreign subclasses are evaluated
+through a per-call id mapping of their ``choose_mask`` and ``kept_additions``.
 """
 
 from __future__ import annotations
@@ -115,28 +115,30 @@ class _Mapped:
             share ^= low
         return out
 
-    def _to_global(self, local_mask: int) -> int:
-        ids, out = self.ids, 0
-        while local_mask:
-            low = local_mask & -local_mask
-            out |= 1 << ids[low.bit_length() - 1]
-            local_mask ^= low
-        return out
-
     def _choose(self, subset: int) -> int:
-        return self._to_global(self.spec.choose_mask(self._to_local(subset)))
+        return _lift(self.ids, self.spec.choose_mask(self._to_local(subset)))
 
     def _kept_additions(self, subset: int, candidates: int) -> int:
         local = self.spec.kept_additions(self._to_local(subset), self._to_local(candidates))
-        return self._to_global(local)
+        return _lift(self.ids, local)
+
+
+def _lift(ids: Sequence[int], local_mask: int) -> int:
+    """The global mask of ``local_mask``, local id ``i`` being global id ``ids[i]``."""
+    out = 0
+    while local_mask:
+        low = local_mask & -local_mask
+        out |= 1 << ids[low.bit_length() - 1]
+        local_mask ^= low
+    return out
 
 
 class _Ranking:
     """Chooses the ``quota`` best available contracts of each order.
 
-    Each order lists every contract of ``piece`` best-first, in whatever id
-    space the masks use; only ``subset & piece`` is looked at.  A menu share
-    of at most ``quota`` contracts is chosen whole without a walk.
+    Every contract of ``piece`` is in some order, each order best-first, in
+    whatever id space the masks use; only ``subset & piece`` is looked at.
+    A menu share of at most ``quota`` contracts is chosen whole.
     """
 
     __slots__ = ("orders", "quota", "piece")
@@ -205,8 +207,7 @@ class _RankingChoice(ChoiceFunction):
     def _ranking(self) -> _Ranking:
         """The evaluator over local ids, built on the first direct call: an
         agent inside an aggregate is only ever called relabelled."""
-        orders, quota = self._orders_and_quota()
-        return _Ranking(orders, quota, full_mask(self.n))
+        return self._relabelled(range(self.n), full_mask(self.n))
 
     def _choose(self, subset: int) -> int:
         return self._ranking._choose(subset)

@@ -45,6 +45,7 @@ from .preference import (
 from .sets import format_mask
 
 if TYPE_CHECKING:
+    from .choice import ChoiceFunction
     from .coherence import CoherenceReport
     from .oracle import StableSetCatalog
 
@@ -81,36 +82,31 @@ def _validate_side(
     """Check one side's choice functions.  Returns (payload, lines, ok)."""
     from .coherence import check_coherent
 
-    f = instance.side(side)
-    payload: dict[str, Any] = {}
     lines: list[str] = []
-    ok = True
-    if isinstance(f, AggregateChoice):
-        agents: dict[str, Any] = {}
-        for part in f.parts:
-            local_names = [instance.names[cid] for cid in part.contract_ids]
-            report = check_coherent(part.spec)
-            agents[part.agent] = _coherence_payload(report, local_names)
-            status = "coherent" if report.coherent else "NOT coherent"
-            lines.append(f"side{side}/{part.agent}: {status}")
-            for v in report.all_violations():
-                lines.append(f"  {v.describe(local_names)}")
-            ok = ok and report.coherent
-        payload["agents"] = agents
-        # The aggregation theorems make per-agent checks sufficient; rerun
-        # on the whole side only when it is small enough to be free.
-        if instance.n <= limits.pairwise_bound() and instance.n <= limits.exhaustive_bound():
-            whole = check_coherent(f)
-            payload["aggregate_coherent"] = whole.coherent
-            ok = ok and whole.coherent
-    else:
+
+    def check(label: str, f: ChoiceFunction, names: Sequence[str]) -> tuple[dict, bool]:
         report = check_coherent(f)
-        payload = _coherence_payload(report, instance.names)
-        status = "coherent" if report.coherent else "NOT coherent"
-        lines.append(f"side{side}: {status}")
-        for v in report.all_violations():
-            lines.append(f"  {v.describe(instance.names)}")
-        ok = report.coherent
+        lines.append(f"{label}: {'coherent' if report.coherent else 'NOT coherent'}")
+        lines.extend(f"  {v.describe(names)}" for v in report.all_violations())
+        return _coherence_payload(report, names), report.coherent
+
+    f = instance.side(side)
+    if not isinstance(f, AggregateChoice):
+        payload, ok = check(f"side{side}", f, instance.names)
+        return payload, lines, ok
+    agents: dict[str, Any] = {}
+    ok = True
+    for part in f.parts:
+        local_names = [instance.names[cid] for cid in part.contract_ids]
+        agents[part.agent], part_ok = check(f"side{side}/{part.agent}", part.spec, local_names)
+        ok = ok and part_ok
+    payload: dict[str, Any] = {"agents": agents}
+    # The aggregation theorems make per-agent checks sufficient; rerun
+    # on the whole side only when it is small enough to be free.
+    if instance.n <= limits.pairwise_bound() and instance.n <= limits.exhaustive_bound():
+        whole = check_coherent(f)
+        payload["aggregate_coherent"] = whole.coherent
+        ok = ok and whole.coherent
     return payload, lines, ok
 
 
@@ -211,21 +207,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _catalog_report(instance: Instance, catalog: StableSetCatalog) -> tuple[dict, list[str]]:
+    """A catalog's payload and numbered lines, as ``lattice`` and ``oracle`` print them."""
+    payload: dict[str, Any] = {
+        "count": len(catalog),
+        "stable_agreements": [instance.names_of(s) for s in catalog.sets],
+        "below": [list(row) for row in catalog.below],
+    }
+    lines = [f"{len(catalog)} stable agreement(s)"]
+    lines.extend(f"  [{i}] {format_mask(s, instance.names)}" for i, s in enumerate(catalog.sets))
+    return payload, lines
+
+
 def cmd_lattice(args: argparse.Namespace) -> int:
     from .oracle import brute_glb, brute_lub, enumerate_stable_agreements
 
     loaded = load(args.file)
     instance = loaded.instance
     catalog = enumerate_stable_agreements(instance)
-    sets = [instance.names_of(s) for s in catalog.sets]
-    payload: dict[str, Any] = {
-        "count": len(catalog),
-        "stable_agreements": sets,
-        "below": [list(row) for row in catalog.below],
-    }
-    lines = [f"{len(catalog)} stable agreement(s)"]
-    for i, s in enumerate(sets):
-        lines.append(f"  [{i}] {{{', '.join(s)}}}")
+    payload, lines = _catalog_report(instance, catalog)
     mismatches: list[str] = []
     meets: list[dict[str, Any]] = []
     joins: list[dict[str, Any]] = []
@@ -283,7 +283,6 @@ def cmd_market(args: argparse.Namespace) -> int:
     payload: dict[str, Any] = {}
     lines: list[str] = []
     failed = False
-    premises_ok = True
 
     catalog: StableSetCatalog | None = None
     if checks & {"no-shortage", "two-prices"}:
@@ -314,7 +313,6 @@ def cmd_market(args: argparse.Namespace) -> int:
                 f"  {instance.names[cid]} has no spare copy outside the stable"
                 f" agreement {format_mask(agreement, instance.names)}"
             )
-        premises_ok = premises_ok and report.ok
         failed = failed or not report.ok
 
     if "money" in checks:
@@ -326,37 +324,22 @@ def cmd_market(args: argparse.Namespace) -> int:
         lines.append(f"money-monotone: {'ok' if report.ok else 'FAILED'}")
         for v in report.violations:
             lines.append(f"  {v.describe(instance.names)}")
-        premises_ok = premises_ok and report.ok
         failed = failed or not report.ok
 
     if "two-prices" in checks:
         assert catalog is not None
-        advisory = not premises_ok or not (checks >= {"no-shortage", "money"})
+        advisory = failed or not (checks >= {"no-shortage", "money"})
         results = []
-        any_gap = False
         for s in catalog.sets:
             report = check_two_prices(economy, s)
-            any_gap = any_gap or not report.ok
-            results.append(
-                {
-                    "agreement": instance.names_of(s),
-                    "ok": report.ok,
-                    "violations": [
-                        v.describe(instance.names, economy.price_grid)
-                        for v in report.violations
-                    ],
-                }
-            )
+            gaps = [v.describe(instance.names, economy.price_grid) for v in report.violations]
+            agreement = instance.names_of(s)
+            results.append({"agreement": agreement, "ok": report.ok, "violations": gaps})
+            status = "ok" if report.ok else ("gap (advisory)" if advisory else "FAILED")
+            lines.append(f"two-prices on {format_mask(s, instance.names)}: {status}")
+            lines.extend(f"  {v}" for v in gaps)
         payload["two_prices"] = {"advisory": advisory, "agreements": results}
-        for entry in results:
-            status = "ok" if entry["ok"] else ("gap (advisory)" if advisory else "FAILED")
-            lines.append(
-                f"two-prices on {{{', '.join(entry['agreement'])}}}: {status}"
-            )
-            for v in entry["violations"]:
-                lines.append(f"  {v}")
-        if any_gap and not advisory:
-            failed = True
+        failed = failed or not advisory and not all(entry["ok"] for entry in results)
 
     payload["ok"] = not failed
     _emit(args, payload, lines)
@@ -374,14 +357,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     loaded = load(args.file)
     instance = loaded.instance
     catalog = enumerate_stable_agreements(instance)
-    payload = {
-        "count": len(catalog),
-        "stable_agreements": [instance.names_of(s) for s in catalog.sets],
-        "below": [list(row) for row in catalog.below],
-    }
-    lines = [f"{len(catalog)} stable agreement(s)"]
-    for i, s in enumerate(catalog.sets):
-        lines.append(f"  [{i}] {format_mask(s, instance.names)}")
+    payload, lines = _catalog_report(instance, catalog)
     for i in range(len(catalog)):
         for j in range(len(catalog)):
             if i != j and catalog.below[i][j]:

@@ -64,7 +64,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         n = len(self.names)
-        if len(set(self.names)) != n or any(not s for s in self.names):
+        if len(set(self.names)) != n or not all(self.names):
             raise SpecError("contract names must be unique and non-empty")
         for side, f in ((1, self.f1), (2, self.f2)):
             if f.n != n:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .aggregation import aggregate_side
 from .choice import (
@@ -23,8 +23,10 @@ from .choice import (
     UnionOfOrders,
 )
 from .engine import ContractLabel, Instance
-from .market import MoneyEconomy, build_money_economy
 from .preference import COHERENCE_ASSERTED
+
+if TYPE_CHECKING:
+    from .market import MoneyEconomy
 
 VALUATION_FAMILIES = ("additive", "unit_demand", "assignment")
 
@@ -200,6 +202,8 @@ def random_money_economy(seed_or_rng: int | random.Random) -> MoneyEconomy:
     Shape drawn from a fixed menu; unit costs and willingness-to-pay drawn
     around the price grid so that profitable trades usually exist.
     """
+    from .market import build_money_economy
+
     rng = _rng(seed_or_rng)
     n_producers, n_consumers, n_templates, n_prices = rng.choice(_ECONOMY_SHAPES)
     producers = [f"p{i + 1}" for i in range(n_producers)]

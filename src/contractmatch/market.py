@@ -25,12 +25,12 @@ never violate the law no matter how far apart their numeric values are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Mapping, Sequence
 
 from . import limits
 from .aggregation import aggregate_side
-from .choice import ChoiceFunction
+from .choice import ChoiceFunction, _lift, _Ranking, _RankingChoice, _Slice
 from .engine import ContractLabel, Instance
 from .errors import SizeBoundError, SpecError
 from .preference import COHERENCE_ASSERTED
@@ -227,7 +227,8 @@ def check_money_monotone(
     For every agent, every menu within its slice, and every same-template
     pair: a producer keeping the cheaper contract must keep the pricier one
     when offered on top (side 1), a consumer keeping the pricier contract
-    must keep the cheaper one (side 2).
+    must keep the cheaper one (side 2).  "Kept when offered on top" is
+    answered by the side's ``kept_additions``, which asks only the owner.
     """
     limit = limits.exhaustive_bound() if max_n is None else max_n
     violations: list[MoneyMonotoneViolation] = []
@@ -245,22 +246,24 @@ def check_money_monotone(
                     f"money-monotonicity scan refused: agent {agent!r} owns"
                     f" {len(ids)} contracts, bound is {limit}"
                 )
-            pairs = []
+            above = dict.fromkeys(ids, 0)  # same-template contracts priced above each
             for x in ids:
                 for y in ids:
                     cx, cy = economy.contracts[x], economy.contracts[y]
                     if cx.template == cy.template and cx.price < cy.price:
-                        # kept/candidate roles: producers must keep the
-                        # pricier y, consumers the cheaper x.
-                        pairs.append((x, y) if side == 1 else (y, x))
+                        above[x] |= 1 << y
             slice_mask = mask_of(ids)
-            chosen = {menu: f.choose_mask(menu) for menu in iter_submasks(slice_mask)}
             for menu in iter_submasks(slice_mask):
-                kept_set = chosen[menu]
-                for kept, candidate in pairs:
-                    if kept_set >> kept & 1 and not (
-                        chosen[menu | 1 << candidate] >> candidate & 1
-                    ):
+                kept_set = f.choose_mask(menu) & slice_mask
+                rejected = slice_mask & ~f.kept_additions(menu, slice_mask)
+                # Producers must keep the pricier contract, consumers the cheaper.
+                cheaper, pricier = (kept_set, rejected) if side == 1 else (rejected, kept_set)
+                for x in ids_of(cheaper):
+                    broken = above[x] & pricier
+                    if not broken:  # the usual case: x is in no violating pair
+                        continue
+                    for y in ids_of(broken):
+                        kept, candidate = (x, y) if side == 1 else (y, x)
                         violations.append(
                             MoneyMonotoneViolation(agent, side, menu, kept, candidate)
                         )
@@ -335,32 +338,41 @@ class LinearProducerChoice(ChoiceFunction):
     keep: int
     unit_costs: tuple[tuple[str, int], ...]
 
+    def __post_init__(self) -> None:
+        if self.keep < 0 or self.keep >> self.n:
+            raise SpecError(f"keep mask {self.keep:#x} leaves the {self.n}-contract universe")
+
     def _choose(self, subset: int) -> int:
         return subset & self.keep
 
+    def _relabelled(self, ids: Sequence[int], piece: int) -> _Slice:
+        return _Slice(_lift(ids, self.keep))
+
 
 @dataclass(frozen=True)
-class UnitDemandConsumerChoice(ChoiceFunction):
+class UnitDemandConsumerChoice(_RankingChoice):
     """Keeps the cheapest affordable contract of each template.
 
     ``picks[t]`` lists the local candidate ids of template ``t`` by
     ascending (price, id); the first available one is kept.  Cheaper
     contracts displace pricier ones, so the consumer clause of money
-    monotonicity holds by construction.
+    monotonicity holds by construction.  A ranking: one order per template.
     """
 
     n: int
     picks: tuple[tuple[int, ...], ...]
     willingness: tuple[tuple[str, int], ...]
 
-    def _choose(self, subset: int) -> int:
-        chosen = 0
-        for candidates in self.picks:
-            for cid in candidates:
-                if subset >> cid & 1:
-                    chosen |= 1 << cid
-                    break
-        return chosen
+    def __post_init__(self) -> None:
+        if not all(0 <= cid < self.n for pick in self.picks for cid in pick):
+            raise SpecError(f"picks {self.picks} leave the {self.n}-contract universe")
+
+    def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
+        return self.picks, 1
+
+    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
+        """Its piece is the affordable contracts: a lone unaffordable one is not chosen."""
+        return super()._relabelled(ids, _lift(ids, mask_of(chain.from_iterable(self.picks))))
 
 
 def build_linear_producer(

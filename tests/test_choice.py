@@ -25,6 +25,13 @@ from contractmatch.choice import (
     valuation_choice,
 )
 from contractmatch.errors import DomainError, SpecError
+from contractmatch.market import (
+    LinearProducerChoice,
+    MarketContract,
+    UnitDemandConsumerChoice,
+    build_linear_producer,
+    build_unit_demand_consumer,
+)
 from contractmatch.sets import full_mask, iter_submasks, mask_of
 
 from conftest import all_masks, deadline
@@ -176,11 +183,30 @@ def _ranking_variants(rng: random.Random, k: int) -> list[ChoiceFunction]:
     ]
 
 
+def _market_agents(rng: random.Random, k: int) -> list[ChoiceFunction]:
+    """Market agents on a random k-contract slice over three templates and a
+    four-level grid: some contracts unaffordable, template ``t3`` never
+    affordable, and one producer that keeps nothing."""
+    grid = (10, 12, 14, 16)
+    contracts = [
+        MarketContract("p", "c", rng.choice(("t1", "t2", "t3")), rng.randrange(len(grid)))
+        for _ in range(k)
+    ]
+    costs = {"t1": rng.choice(grid), "t2": rng.choice(grid), "t3": 11}
+    return [
+        build_linear_producer(contracts, grid, costs),
+        build_linear_producer(contracts, grid, dict.fromkeys(costs, 99)),
+        build_unit_demand_consumer(contracts, grid, {"t1": 13, "t2": 15, "t3": 9}),
+        build_unit_demand_consumer(contracts, grid, {"t1": 16, "t2": 9, "t3": 9}),
+    ]
+
+
 @pytest.mark.parametrize("k", range(7))
 def test_ranking_evaluator_matches_the_generic_paths(k):
     """The threshold walk of ``_kept_additions`` against the base-class loop
     over ``choose_mask``, and each relabelled evaluator on a scattered slice
-    of a 10-contract universe against the base mapping evaluator."""
+    of a 10-contract universe against the base mapping evaluator.  Market
+    agents are the ranking and slice evaluators too."""
     rng = random.Random(k)
     ids = tuple(sorted(rng.sample(range(10), k)))
     piece = mask_of(ids)
@@ -189,11 +215,18 @@ def test_ranking_evaluator_matches_the_generic_paths(k):
     def spread(local: int) -> int:
         return mask_of(ids[i] for i in range(k) if local >> i & 1)
 
-    for f in _ranking_variants(rng, k):
+    for f in _ranking_variants(rng, k) + _market_agents(rng, k):
         if isinstance(f, ResponsiveQuota):
             for menu in all_masks(k):
                 best = [c for c in f.order if menu >> c & 1][: f.quota]
                 assert f.choose_mask(menu) == mask_of(best)
+        if isinstance(f, LinearProducerChoice):
+            for menu in all_masks(k):
+                assert f.choose_mask(menu) == menu & f.keep
+        if isinstance(f, UnitDemandConsumerChoice):
+            for menu in all_masks(k):
+                firsts = (next((c for c in pick if menu >> c & 1), None) for pick in f.picks)
+                assert f.choose_mask(menu) == mask_of(c for c in firsts if c is not None)
         fast = f._relabelled(ids, piece)
         mapped = ChoiceFunction._relabelled(f, ids, piece)
         for subset in all_masks(k):

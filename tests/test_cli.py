@@ -477,6 +477,8 @@ stages["cli"] = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = contractmatch.cli.main(["solve", sys.argv[1], "--json"])
 stages["solve"] = loaded()
+from contractmatch.generators import random_instance
+stages["generators"] = loaded()
 missing = []
 for name in json.loads(sys.argv[2]):
     try:
@@ -490,7 +492,8 @@ print(json.dumps({"stages": stages, "code": code, "missing": missing,
 
 def test_import_leaves_numpy_unloaded():
     """Modules load on first use: the package import loads no submodule, the
-    CLI import no checker, and ``solve`` no checker it does not run."""
+    CLI import no checker, ``solve`` no checker it does not run, and the
+    instance generators no market code."""
     out = subprocess.run(
         [
             sys.executable, "-c", _FOOTPRINT_PROBE,
@@ -506,6 +509,7 @@ def test_import_leaves_numpy_unloaded():
     )
     assert probe["code"] == 0
     assert not {"market", "oracle", "coherence", "numpy"} & set(stages["solve"])
+    assert "generators" in stages["generators"] and "market" not in stages["generators"]
     assert probe["missing"] == []
     assert probe["all"] == sorted(PUBLIC_NAMES)
     assert set(PUBLIC_NAMES) <= set(probe["dir"])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,21 @@ def test_canonical_fixture_matches_corpus_builder():
     loaded = load(FIXTURE_DIR / "no_stable_agreement.json")
     assert loaded.instance == no_stable_agreement_instance()
     assert loaded.economy is None
+
+
+def test_fixture_script_regenerates_the_shipped_files(tmp_path, monkeypatch, capsys):
+    """``scripts/make_fixtures.py`` writes every shipped fixture byte for byte,
+    so the on-disk and in-memory corpora cannot drift apart."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "FIXTURE_DIR", tmp_path)
+    assert module.main() == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ALL_FIXTURES
+    assert len(ALL_FIXTURES) == 11
+    for name in ALL_FIXTURES:
+        assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / name).read_bytes(), name
 
 
 def test_save_then_load(tmp_path):

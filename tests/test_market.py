@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from contractmatch.aggregation import aggregate_side
-from contractmatch.choice import Identity, TableChoice
+from contractmatch.choice import Identity, TableChoice, _Mapped
 from contractmatch.coherence import check_coherent
 from contractmatch.corpus import price_gap_economy
 from contractmatch.engine import ContractLabel, Instance, is_stable_set, run
 from contractmatch.errors import SizeBoundError, SpecError
 from contractmatch.generators import random_money_economy
 from contractmatch.market import (
+    LinearProducerChoice,
     MarketContract,
     MoneyEconomy,
+    MoneyMonotoneViolation,
+    UnitDemandConsumerChoice,
     build_linear_producer,
     build_money_economy,
     build_unit_demand_consumer,
@@ -22,6 +28,7 @@ from contractmatch.market import (
     check_two_prices,
 )
 from contractmatch.oracle import enumerate_stable_agreements
+from contractmatch.sets import iter_submasks, mask_of
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +180,64 @@ def test_money_monotone_slice_bound():
     assert check_money_monotone(econ, max_n=14).ok
 
 
+def _whole_side_table_scan(economy: MoneyEconomy) -> tuple[MoneyMonotoneViolation, ...]:
+    """Money monotonicity from a whole-side table over each agent's submenus:
+    for every same-template pair, ``kept`` is chosen from ``menu`` but
+    ``candidate`` not from ``menu | {candidate}``.  Each pair is tested on
+    all menus at once; violations come in agent, menu, pair order."""
+    violations = []
+    for side in (1, 2):
+        f = economy.instance.side(side)
+        slices: dict[str, list[int]] = {}
+        for cid, c in enumerate(economy.contracts):
+            slices.setdefault(c.producer if side == 1 else c.consumer, []).append(cid)
+        for agent in sorted(slices):
+            ids = slices[agent]
+            pairs = []
+            for x in ids:
+                for y in ids:
+                    cx, cy = economy.contracts[x], economy.contracts[y]
+                    if cx.template == cy.template and cx.price < cy.price:
+                        pairs.append((x, y) if side == 1 else (y, x))
+            menus = list(iter_submasks(mask_of(ids)))  # ascending: index = local mask
+            table = np.array([f.choose_mask(menu) for menu in menus])
+            index = np.arange(len(menus))
+            bad = np.zeros((len(menus), len(pairs)), dtype=bool)
+            for p, (kept, candidate) in enumerate(pairs):
+                with_candidate = table[index | 1 << ids.index(candidate)]
+                bad[:, p] = (table >> kept & 1 == 1) & (with_candidate >> candidate & 1 == 0)
+            for m, p in np.argwhere(bad).tolist():
+                violations.append(MoneyMonotoneViolation(agent, side, menus[m], *pairs[p]))
+    return tuple(violations)
+
+
+def test_money_monotone_matches_the_whole_side_table_scan():
+    """Same violations in the same order on the 100 generated economies, and
+    on those of at most 8 contracts with random whole-side tables."""
+    rng = random.Random(8)
+    violating = 0
+    for seed in range(100):
+        econ = random_money_economy(seed)
+        inst = econ.instance
+        assert check_money_monotone(econ, max_n=inst.n).violations == (
+            _whole_side_table_scan(econ)
+        )
+        if inst.n > 8:
+            continue
+        f1, f2 = (
+            TableChoice(inst.n, tuple(rng.getrandbits(inst.n) for _ in range(1 << inst.n)))
+            for _ in range(2)
+        )
+        tables = MoneyEconomy(
+            Instance(inst.names, f1, f2, inst.labels),
+            econ.contracts, econ.price_grid, econ.templates,
+        )
+        violations = check_money_monotone(tables).violations
+        assert violations == _whole_side_table_scan(tables)
+        violating += bool(violations)
+    assert violating >= 30
+
+
 # ---------------------------------------------------------------------------
 # Two-price law
 # ---------------------------------------------------------------------------
@@ -245,6 +310,24 @@ def test_agent_builders_require_declared_numbers():
         build_linear_producer(_slice_contracts(), (10, 12, 14), {"t": 12})
     with pytest.raises(SpecError, match="no willingness-to-pay"):
         build_unit_demand_consumer(_slice_contracts(), (10, 12, 14), {"u": 20})
+
+
+def test_agents_reject_contracts_outside_their_universe():
+    with pytest.raises(SpecError, match="keep mask 0x4 leaves the 2-contract universe"):
+        LinearProducerChoice(2, 0b100, ())
+    with pytest.raises(SpecError, match="keep mask"):
+        LinearProducerChoice(2, -1, ())
+    for bad in (2, -1):
+        with pytest.raises(SpecError, match="leave the 2-contract universe"):
+            UnitDemandConsumerChoice(2, ((0,), (1, bad)), ())
+    assert LinearProducerChoice(2, 0b11, ()).choose_mask(0b10) == 0b10
+    assert UnitDemandConsumerChoice(2, ((1, 0),), ()).choose_mask(0b11) == 0b10
+
+
+def test_economy_agents_are_evaluated_without_id_mapping():
+    econ = random_money_economy(5)
+    for f in (econ.instance.f1, econ.instance.f2):
+        assert f._agents and not any(isinstance(agent, _Mapped) for agent in f._agents)
 
 
 def test_generated_economies_conform():
