@@ -15,7 +15,13 @@ writes each agent in global ids once, when the side is built (see
 and a filter or market producer a mask over global ids, and only tables,
 valuations and foreign subclasses map ids on each call.  Its
 ``kept_additions`` asks each owner once about all of its candidates, and its
-``rechoose`` evaluates only the agents whose share of the menu changed.
+``rechoose`` evaluates only the agents whose share of the menu changed.  A
+ranking or filter agent whose share only lost contracts it had rejected is
+skipped too: it is coherent by construction, so that loss cannot change
+its choice (``ignores_rejected`` in :mod:`contractmatch.choice`).  Tables,
+valuations and other evaluators are re-evaluated on any change.  The side
+keeps one complement mask per agent (the universe minus its slice), so
+each agent touched costs a constant number of full-width mask operations.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .choice import ChoiceFunction, TopOfOrder
 from .engine import ContractLabel, Instance
 from .errors import DomainError, SpecError
 from .preference import COHERENCE_ASSERTED
-from .sets import mask_of
+from .sets import full_mask, mask_of
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,15 @@ class AggregateChoice(ChoiceFunction):
             part.spec._relabelled(part.contract_ids, piece)
             for part, piece in zip(self.parts, slices)
         )
+        # The slices of the agents that rechoose must re-evaluate on any change.
+        unsure = 0
+        for agent, piece in zip(agents, slices):
+            if not getattr(agent, "ignores_rejected", False):
+                unsure |= piece
+        universe = full_mask(self.n)
         object.__setattr__(self, "_owner", array(code, owner))
-        object.__setattr__(self, "_slices", tuple(slices))
+        object.__setattr__(self, "_rest", tuple(universe ^ piece for piece in slices))
+        object.__setattr__(self, "_unsure", unsure)
         object.__setattr__(self, "_agents", agents)
 
     def _choose(self, subset: int) -> int:
@@ -102,29 +115,31 @@ class AggregateChoice(ChoiceFunction):
         return chosen
 
     def _kept_additions(self, subset: int, candidates: int) -> int:
-        """Each owner of a candidate is asked once, about all of its candidates."""
-        owner, slices, agents, kept = self._owner, self._slices, self._agents, 0
+        """Each owner of a candidate is asked once, about all of its candidates
+        (an agent answers only for its own slice)."""
+        owner, rest, agents, kept = self._owner, self._rest, self._agents, 0
         while candidates:
-            p = owner[(candidates & -candidates).bit_length() - 1]
-            mine = candidates & slices[p]
-            candidates ^= mine
-            kept |= agents[p]._kept_additions(subset, mine)
+            p = owner[candidates.bit_length() - 1]
+            kept |= agents[p]._kept_additions(subset, candidates)
+            candidates &= rest[p]
         return kept
 
     def rechoose(self, subset: int, prev_subset: int, prev_choice: int) -> int:
         """Every agent whose share of ``subset`` equals its share of
         ``prev_subset`` keeps its part of ``prev_choice``: exact for any
         agent function, since an agent only ever chooses from its own slice.
+        So does a ranking or filter agent whose share only lost contracts
+        outside ``prev_choice``: it is coherent by construction, and
+        removing rejected contracts cannot change its choice.
         """
         if subset >> self.n:
             raise DomainError(f"subset {subset:#x} lies outside the {self.n}-contract universe")
-        chosen = prev_choice
-        changed = subset ^ prev_subset
+        owner, rest, agents, chosen = self._owner, self._rest, self._agents, prev_choice
+        changed = (subset ^ prev_subset) & (subset | prev_choice | self._unsure)
         while changed:
-            p = self._owner[(changed & -changed).bit_length() - 1]
-            piece = self._slices[p]
-            chosen = chosen & ~piece | self._agents[p]._choose(subset)
-            changed &= ~piece
+            p = owner[changed.bit_length() - 1]
+            changed &= rest[p]
+            chosen = chosen & rest[p] | agents[p]._choose(subset)
         return chosen
 
 

@@ -28,6 +28,11 @@ fits a function to a slice of a larger universe: a ranking is rewritten in
 global ids once, :class:`Identity` and the market's linear producer become
 a mask, and only tables, valuations and foreign subclasses are evaluated
 through a per-call id mapping of their ``choose_mask`` and ``kept_additions``.
+The ranking and filter evaluators are marked ``ignores_rejected``: they are
+coherent by construction, so a menu that only lost contracts they did not
+choose leaves their choice unchanged (the irrelevance of rejected
+contracts), and ``rechoose`` may skip them.  Any other evaluator, tables
+above all, may break rejection consistency and is never skipped.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import limits
 from .errors import DomainError, SizeBoundError, SpecError
 from .sets import format_mask, full_mask, iter_submasks
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ChoiceFunction:
@@ -93,7 +100,9 @@ class ChoiceFunction:
         The evaluator's ``_choose(subset)`` and ``_kept_additions(subset,
         candidates)`` take and return global masks that lie within the larger
         universe, and answer for ``subset & piece`` and ``candidates & piece``
-        only.  This default maps each call's masks to local ids and back.
+        only.  An evaluator whose class sets ``ignores_rejected = True``
+        promises that removing contracts it did not choose never changes its
+        choice.  This default maps each call's masks to local ids and back.
         """
         return _Mapped(self, ids, piece)
 
@@ -138,10 +147,13 @@ class _Ranking:
 
     Every contract of ``piece`` is in some order, each order best-first, in
     whatever id space the masks use; only ``subset & piece`` is looked at.
-    A menu share of at most ``quota`` contracts is chosen whole.
+    A menu share of at most ``quota`` contracts is chosen whole.  Coherent
+    by construction, so removing contracts it did not choose never changes
+    its choice (``ignores_rejected``).
     """
 
     __slots__ = ("orders", "quota", "piece")
+    ignores_rejected = True
 
     def __init__(self, orders: Sequence[Sequence[int]], quota: int, piece: int):
         self.orders, self.quota, self.piece = orders, quota, piece
@@ -181,9 +193,11 @@ class _Ranking:
 
 
 class _Slice:
-    """:class:`Identity` on ``piece``: every contract of it is chosen."""
+    """:class:`Identity` on ``piece``: every contract of it is chosen, so
+    removing contracts it did not choose never changes its choice."""
 
     __slots__ = ("piece",)
+    ignores_rejected = True
 
     def __init__(self, piece: int):
         self.piece = piece
@@ -373,6 +387,8 @@ class PerturbationScheme:
 
     @classmethod
     def dyadic(cls, n: int, epsilon: Fraction | int) -> "PerturbationScheme":
+        from fractions import Fraction
+
         eps = Fraction(epsilon)
         prices = tuple(eps * (1 - Fraction(1, 2 ** (x + 1))) for x in range(n))
         return cls(eps, prices)
@@ -382,7 +398,7 @@ class PerturbationScheme:
         """A safe default scheme for the given valuation table."""
         n = _universe_size(len(values))
         gap = _min_gap(values)
-        eps = gap / (2 * n) if gap is not None else Fraction(1)
+        eps = gap / (2 * n) if gap is not None else 1
         return cls.dyadic(n, eps)
 
 
@@ -454,6 +470,8 @@ class ValuationArgmax(ChoiceFunction):
             )
 
     def _perturbed_values(self) -> list[Fraction]:
+        from fractions import Fraction
+
         size = 1 << self.n
         price_sum = [Fraction(0)] * size
         for m in range(1, size):
@@ -495,6 +513,8 @@ def valuation_choice(
     bitmask.  When ``scheme`` is omitted a safe default is derived from the
     table.
     """
+    from fractions import Fraction
+
     table = tuple(Fraction(v) for v in values)
     n = _universe_size(len(table))
     if scheme is None:
@@ -517,6 +537,8 @@ def convolve_valuations(
     computable object only; no relationship to aggregated choice functions
     is asserted.
     """
+    from fractions import Fraction
+
     a = tuple(Fraction(v) for v in first)
     b = tuple(Fraction(v) for v in second)
     n = _universe_size(len(a))

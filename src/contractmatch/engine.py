@@ -21,7 +21,9 @@ alongside its claims.
 Later rounds call ``rechoose`` and the singleton verdict calls
 ``kept_additions`` once per side (see :mod:`contractmatch.choice`), so an
 aggregate side re-evaluates only the agents whose menus changed, or, for
-each outside contract, only its owner.
+each outside contract, only its owner.  The agreement verdict takes the
+receiving side's choice from the last round, which evaluated it on the
+final offer already, so only the proposer is evaluated again.
 
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest
@@ -249,12 +251,15 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
         keep = other.rechoose(next_offer, offer, keep)
         z, offer = next_z, next_offer
 
+    # The last round already evaluated the receiving side on ``chosen``.
     chosen = offers[-1]
+    proposed = propose.choose_mask(chosen)
+    choices = (proposed, keep) if proposer == 1 else (keep, proposed)
     return SolveResult(
         chosen=chosen,
         proposer=proposer,
         trace=Trace(tuple(pools), tuple(offers), tuple(accepted)),
-        agreement=is_agreement(instance, chosen),
+        agreement=AgreementVerdict(chosen, *choices),
         stability=_singleton_stability(instance, chosen),
         coherence=instance.coherence,
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -46,6 +45,8 @@ from .errors import ParseError
 from .sets import format_mask, ids_of, subset_names
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .market import MarketContract, MoneyEconomy
 
 SCHEMA_VERSION = 1
@@ -95,6 +96,8 @@ def _expect_int(value: Any, loc: str) -> int:
 
 
 def _parse_fraction(value: Any, loc: str) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(value, bool):
         raise ParseError(f"expected an exact number, got {value!r}", loc)
     if isinstance(value, int):

@@ -15,6 +15,7 @@ from contractmatch.aggregation import (
     build_marriage_instance,
 )
 from contractmatch.choice import (
+    ChoiceFunction,
     Identity,
     ResponsiveQuota,
     TableChoice,
@@ -32,7 +33,7 @@ from contractmatch.engine import ContractLabel, Instance
 from contractmatch.errors import DomainError, SpecError
 from contractmatch.generators import random_marriage_profile
 from contractmatch.preference import COHERENCE_ASSERTED
-from contractmatch.sets import mask_of
+from contractmatch.sets import ids_of, mask_of
 
 from conftest import (
     all_masks,
@@ -124,20 +125,59 @@ def test_label_locality():
 # ---------------------------------------------------------------------------
 
 
+class GlobalTable:
+    """A table written in global ids, as an evaluator from an outside
+    ``_relabelled`` would be: unmarked, so never skipped by ``rechoose``."""
+
+    def __init__(self, entries, ids, piece):
+        def lift(local):
+            return mask_of(ids[i] for i in ids_of(local))
+
+        self.table = {lift(m): lift(out) for m, out in enumerate(entries)}
+        self.piece = piece
+
+    def _choose(self, subset):
+        return self.table[subset & self.piece]
+
+    def _kept_additions(self, subset, candidates):
+        share = subset & self.piece
+        return mask_of(
+            x for x in ids_of(candidates & self.piece) if self.table[share | 1 << x] >> x & 1
+        )
+
+
+class RelabelledTable(ChoiceFunction):
+    """A table that relabels itself to a :class:`GlobalTable`."""
+
+    def __init__(self, entries):
+        self.n, self.entries = len(entries).bit_length() - 1, entries
+
+    def _choose(self, subset):
+        return self.entries[subset]
+
+    def _relabelled(self, ids, piece):
+        return GlobalTable(self.entries, ids, piece)
+
+
 def _random_aggregate(rng: random.Random, n: int) -> AggregateChoice:
     """1-3 agents over random slices, of every variant an aggregate relabels
-    (rankings and identity) and of tables, which it maps per call.  Table
-    agents choose arbitrary subsets of their slice, never contracting on the
-    empty menu (f({}) != {}); quotas run from 0 to the slice size."""
+    (rankings and identity), of tables, which it maps per call, and of
+    tables with their own relabelled evaluator.  Table agents choose
+    arbitrary subsets of their slice, so they may break rejection
+    consistency, and never contract on the empty menu (f({}) != {}); quotas
+    run from 0 to the slice size."""
     owner = [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
     specs = {}
     for agent in set(owner):
         size = owner.count(agent)
-        kind = rng.choice(("table", "top", "union", "quota", "identity"))
-        if kind == "table":
+        kind = rng.choice(("table", "relabelled", "top", "union", "quota", "identity"))
+        if kind in ("table", "relabelled"):
             entries = [rng.randrange(1 << size) for _ in range(1 << size)]
             entries[0] = rng.randrange(1, 1 << size)
-            specs[f"a{agent}"] = TableChoice(size, tuple(entries))
+            if kind == "table":
+                specs[f"a{agent}"] = TableChoice(size, tuple(entries))
+            else:
+                specs[f"a{agent}"] = RelabelledTable(tuple(entries))
         elif kind == "top":
             specs[f"a{agent}"] = TopOfOrder(size, tuple(rng.sample(range(size), size)))
         elif kind == "union":

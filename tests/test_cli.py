@@ -467,7 +467,7 @@ import contextlib, io, json, sys
 
 def loaded():
     return sorted(m.rpartition(".")[2] for m in sys.modules
-                  if m.startswith("contractmatch.") or m == "numpy")
+                  if m.startswith("contractmatch.") or m in ("numpy", "fractions"))
 
 stages = {}
 import contractmatch
@@ -493,7 +493,9 @@ print(json.dumps({"stages": stages, "code": code, "missing": missing,
 def test_import_leaves_numpy_unloaded():
     """Modules load on first use: the package import loads no submodule, the
     CLI import no checker, ``solve`` no checker it does not run, and the
-    instance generators no market code."""
+    instance generators no market code.  Only valuation and market code
+    builds a ``Fraction``, so ``solve`` on a marriage market leaves
+    ``fractions`` unloaded."""
     out = subprocess.run(
         [
             sys.executable, "-c", _FOOTPRINT_PROBE,
@@ -508,7 +510,7 @@ def test_import_leaves_numpy_unloaded():
         stages["cli"]
     )
     assert probe["code"] == 0
-    assert not {"market", "oracle", "coherence", "numpy"} & set(stages["solve"])
+    assert not {"market", "oracle", "coherence", "numpy", "fractions"} & set(stages["solve"])
     assert "generators" in stages["generators"] and "market" not in stages["generators"]
     assert probe["missing"] == []
     assert probe["all"] == sorted(PUBLIC_NAMES)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from contractmatch.aggregation import AggregateChoice, AggregatePart, build_marriage_instance
-from contractmatch.choice import ChoiceFunction, Identity, TableChoice, TopOfOrder
+from contractmatch.choice import ChoiceFunction, Identity, TableChoice, TopOfOrder, _Ranking
 from contractmatch.corpus import (
     FIXTURE_DIR,
     marriage_1x1,
@@ -19,6 +19,7 @@ from contractmatch.corpus import (
 from contractmatch.engine import (
     MODE_FULL,
     MODE_SINGLETON,
+    AgreementVerdict,
     ContractLabel,
     Instance,
     Trace,
@@ -348,12 +349,15 @@ def test_engine_never_needs_coherence_to_run():
 
 
 def test_run_stops_at_the_first_repeated_pool():
+    inst = cycling_instance()
     with deadline(5):
-        result = run(cycling_instance())
+        result = run(inst)
     assert not result.converged
     assert result.trace.pools == (0b11, 0b10, 0b01, 0b00)
     assert result.trace.cycle == result.trace.pools
     assert result.chosen == result.trace.offers[-1] == 0
+    # On a cycle too, the last round's keep is side 2's choice from the final offer.
+    assert result.agreement == AgreementVerdict(0, inst.f1.choose_mask(0), inst.f2.choose_mask(0))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +409,10 @@ def _assert_same_as_whole_side(instance: Instance, proposer: int, pool: int | No
     assert result.trace == trace
     assert result.chosen == trace.offers[-1]
     assert result.stability.blocking_set == blocking
+    chosen = result.chosen
+    assert result.agreement == AgreementVerdict(
+        chosen, instance.f1.choose_mask(chosen), instance.f2.choose_mask(chosen)
+    )
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.stem)
@@ -469,14 +477,28 @@ def _counted(f: AggregateChoice, tally: list[int]) -> AggregateChoice:
 
 
 @pytest.mark.parametrize("k", [16, 32])
-def test_agent_evaluations_follow_rejections(k):
+def test_agent_evaluations_follow_rejections(k, monkeypatch):
     """Per-agent evaluations in a k x k marriage run.
 
     Round 0 evaluates every agent (2k).  A later round re-evaluates only the
     proposers just rejected and the receivers whose offers changed; the
     stability verdict evaluates at most the two owners of each outside
     contract.  The whole-side loop paid 2k per round and per outside contract.
+
+    On the bare instance, whose agents are ranking evaluators, each rejection
+    makes at most one proposer and one receiver choose again (a receiver that
+    only lost the offer it rejected is skipped), and the agreement verdict
+    evaluates the k proposers once more; the verdict's ``kept_additions``
+    makes no ``_choose`` call.
     """
+    calls = [0]
+    ranking_choose = _Ranking._choose
+
+    def counting_choose(self, subset):
+        calls[0] += 1
+        return ranking_choose(self, subset)
+
+    monkeypatch.setattr(_Ranking, "_choose", counting_choose)
     for seed in range(5):
         inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
         for proposer in (1, 2):
@@ -488,6 +510,9 @@ def test_agent_evaluations_follow_rejections(k):
             rejections = inst.n - result.trace.final_pool.bit_count()
             outside = inst.n - result.chosen.bit_count()
             assert tally[0] <= 2 * k + 2 * rejections + 2 * outside
+            calls[0] = 0
+            assert run(inst, proposer) == result
+            assert calls[0] <= 3 * k + 2 * rejections
 
 
 @pytest.mark.parametrize("k", [16, 32])
