@@ -23,7 +23,10 @@ evaluate only the agents concerned.
 The rankings (:class:`TopOfOrder`, :class:`ResponsiveQuota`,
 :class:`UnionOfOrders`, the market's unit-demand consumer) share one
 evaluator, "the ``quota`` best available contracts of each order", where
-"``x`` is kept from ``S | {x}``" is one rank threshold.  ``_relabelled``
+"``x`` is kept from ``S | {x}``" is one rank threshold.  It splits each
+order once into a top mask (its first ``quota`` contracts) and a tail, so a
+menu holding the whole top is answered by mask operations alone and only
+the tail is walked, for the members the top lacks.  ``_relabelled``
 fits a function to a slice of a larger universe: a ranking is rewritten in
 global ids once, :class:`Identity` and the market's linear producer become
 a mask, and only tables, valuations and foreign subclasses are evaluated
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import limits
 from .errors import DomainError, SizeBoundError, SpecError
-from .sets import format_mask, full_mask, iter_submasks
+from .sets import format_mask, full_mask, iter_submasks, mask_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -147,48 +150,59 @@ class _Ranking:
 
     Every contract of ``piece`` is in some order, each order best-first, in
     whatever id space the masks use; only ``subset & piece`` is looked at.
-    A menu share of at most ``quota`` contracts is chosen whole.  Coherent
-    by construction, so removing contracts it did not choose never changes
-    its choice (``ignores_rejected``).
+    A menu share of at most ``quota`` contracts is chosen whole.  Each order
+    is split once into its *top* (the mask of its first ``quota`` contracts)
+    and its *tail* (the rest, in order), so the top is answered by one mask
+    operation and only the tail is walked, for the members the top lacks.
+    Coherent by construction, so removing contracts it did not choose never
+    changes its choice (``ignores_rejected``).
     """
 
-    __slots__ = ("orders", "quota", "piece")
+    __slots__ = ("splits", "quota", "piece")
     ignores_rejected = True
 
     def __init__(self, orders: Sequence[Sequence[int]], quota: int, piece: int):
-        self.orders, self.quota, self.piece = orders, quota, piece
+        # Each order as its (top mask, tail).
+        self.splits = tuple((mask_of(order[:quota]), order[quota:]) for order in orders)
+        self.quota, self.piece = quota, piece
 
     def _choose(self, subset: int) -> int:
         share, quota = subset & self.piece, self.quota
         if share.bit_count() <= quota:
             return share
         chosen = 0
-        for order in self.orders:
-            left = quota
-            for c in order:
-                if not left:
-                    break
-                if share >> c & 1:
-                    chosen |= 1 << c
-                    left -= 1
+        for top, tail in self.splits:
+            got = share & top
+            chosen |= got
+            left = quota - got.bit_count()
+            if left:
+                for c in tail:
+                    if share >> c & 1:
+                        chosen |= 1 << c
+                        left -= 1
+                        if not left:
+                            break
         return chosen
 
     def _kept_additions(self, subset: int, candidates: int) -> int:
         """``x`` is kept from ``S | {x}`` exactly when some order ranks ``x``
-        no lower than its ``quota``-th member of ``S``: one walk per order,
-        collecting every contract up to that member."""
+        no lower than its ``quota``-th member of ``S``: the whole top of each
+        order, and the tail up to that member when the top holds fewer than
+        ``quota`` members of ``S``."""
         share, quota = subset & self.piece, self.quota
         if share.bit_count() < quota:
             return candidates & self.piece
         better = 0
-        for order in self.orders:
-            left = quota
-            for c in order:
-                if not left:
-                    break
-                better |= 1 << c
-                if share >> c & 1:
-                    left -= 1
+        for top, tail in self.splits:
+            better |= top
+            left = quota - (share & top).bit_count()
+            if left:
+                for c in tail:
+                    better |= 1 << c
+                    if share >> c & 1:
+                        left -= 1
+                        if not left:
+                            break
         return candidates & better
 
 

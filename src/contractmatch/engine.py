@@ -23,7 +23,9 @@ Later rounds call ``rechoose`` and the singleton verdict calls
 aggregate side re-evaluates only the agents whose menus changed, or, for
 each outside contract, only its owner.  The agreement verdict takes the
 receiving side's choice from the last round, which evaluated it on the
-final offer already, so only the proposer is evaluated again.
+final offer already, and asks the proposer through ``rechoose`` from the
+last pool, whose choice that offer is: ranking and filter proposers, which
+only lost contracts they rejected, are not evaluated again.
 
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest
@@ -251,9 +253,11 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
         keep = other.rechoose(next_offer, offer, keep)
         z, offer = next_z, next_offer
 
-    # The last round already evaluated the receiving side on ``chosen``.
+    # The last round already evaluated the receiving side on ``chosen``, and
+    # ``chosen`` is the proposer's choice from ``z``: an aggregate proposer
+    # re-evaluates only the agents that ``rechoose`` cannot skip.
     chosen = offers[-1]
-    proposed = propose.choose_mask(chosen)
+    proposed = propose.rechoose(chosen, z, chosen)
     choices = (proposed, keep) if proposer == 1 else (keep, proposed)
     return SolveResult(
         chosen=chosen,

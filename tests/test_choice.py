@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,8 @@ from contractmatch.choice import (
     TopOfOrder,
     UnionOfOrders,
     ValuationArgmax,
+    _Ranking,
+    _RankingChoice,
     convolve_valuations,
     tabulate,
     union_of_orders_choice,
@@ -241,6 +245,128 @@ def test_ranking_evaluator_matches_the_generic_paths(k):
                 g_candidates = spread(candidates) | rng.getrandbits(10) & outside
                 assert fast._kept_additions(g_subset, g_candidates) == spread(expected)
                 assert mapped._kept_additions(g_subset, g_candidates) == spread(expected)
+
+
+@dataclass(frozen=True)
+class _QuotaOfOrders(_RankingChoice):
+    """The ``quota`` best available contracts of each of ``orders``, which
+    may leave contracts unranked, as a market consumer does: the evaluator's
+    piece is then the contracts some order ranks."""
+
+    n: int
+    orders: tuple[tuple[int, ...], ...]
+    quota: int
+
+    def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
+        return self.orders, self.quota
+
+    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
+        ranked = mask_of(ids[c] for order in self.orders for c in order)
+        return super()._relabelled(ids, ranked)
+
+
+def _large_menus(rng: random.Random, k: int) -> list[int]:
+    """Dense menus (a few contracts removed), sparse ones (a few present)
+    and half-full ones."""
+    full = full_mask(k)
+    menus = [0, full]
+    for size in (1, 2, 3, 5):
+        few = mask_of(rng.sample(range(k), size))
+        menus += [full & ~few, few]
+    menus += [rng.getrandbits(k) for _ in range(4)]
+    return menus
+
+
+@pytest.mark.parametrize("k", [40, 64])
+def test_ranking_evaluator_at_large_k(k):
+    """The top-mask-and-tail evaluator against a sorted-prefix reference for
+    ``_choose`` and the base-class ``choose_mask`` loop for
+    ``_kept_additions``, at quotas from 0 past k, on one order, three
+    orders and orders that rank only part of the slice; directly and
+    relabelled onto a scattered slice of a 3k-contract universe."""
+    rng = random.Random(k)
+    ids = tuple(sorted(rng.sample(range(3 * k), k)))
+    piece = mask_of(ids)
+    outside = full_mask(3 * k) & ~piece
+
+    def spread(local: int) -> int:
+        return mask_of(ids[i] for i in range(k) if local >> i & 1)
+
+    partial = tuple(tuple(rng.sample(range(k), rng.randint(1, k - 1))) for _ in range(3))
+    shapes = (
+        (tuple(rng.sample(range(k), k)),),
+        tuple(tuple(rng.sample(range(k), k)) for _ in range(3)),
+        partial,
+        partial[:1],
+    )
+    for orders in shapes:
+        for quota in (0, 1, 2, k // 2, k - 1, k, k + 1):
+            f = _QuotaOfOrders(k, orders, quota)
+            fast = f._relabelled(ids, piece)
+            for menu in _large_menus(rng, k):
+                expected = mask_of(
+                    c for order in orders for c in [c for c in order if menu >> c & 1][:quota]
+                )
+                g_menu = spread(menu) | rng.getrandbits(3 * k) & outside
+                assert f.choose_mask(menu) == expected
+                assert fast._choose(g_menu) == spread(expected)
+                for candidates in (full_mask(k), rng.getrandbits(k)):
+                    kept = ChoiceFunction._kept_additions(f, menu, candidates)
+                    g_candidates = spread(candidates) | rng.getrandbits(3 * k) & outside
+                    assert f.kept_additions(menu, candidates) == kept
+                    assert fast._kept_additions(g_menu, g_candidates) == spread(kept)
+
+
+class _CountedOrder(Sequence):
+    """An order that counts, in a shared tally, the entries read from it; a
+    slice of it is a counted order too."""
+
+    def __init__(self, entries: Sequence[int], tally: list[int]):
+        self.entries, self.tally = entries, tally
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _CountedOrder(self.entries[i], self.tally)
+        self.tally[0] += 1
+        return self.entries[i]
+
+    def __iter__(self):
+        for c in self.entries:
+            self.tally[0] += 1
+            yield c
+
+
+def test_ranking_evaluator_walks_only_the_tail():
+    """A menu holding the whole top of every order is answered without
+    reading an order entry: ``_choose`` on the full menu, and
+    ``_kept_additions`` on any menu that contains the tops.  A menu that
+    lacks a top member makes the walk read the tail, and only the tail."""
+    rng = random.Random(7)
+    k = 40
+    full = full_mask(k)
+    for n_orders in (1, 3):
+        orders = [rng.sample(range(k), k) for _ in range(n_orders)]
+        for quota in (1, 2, k // 2, k - 2):
+            tally = [0]
+            ranking = _Ranking([_CountedOrder(o, tally) for o in orders], quota, full)
+            tops = mask_of(c for order in orders for c in order[:quota])
+            tally[0] = 0
+            assert ranking._choose(full) == tops
+            assert ranking._kept_additions(full, full) == tops
+            with_tops = tops | rng.getrandbits(k)
+            assert ranking._kept_additions(with_tops, full) == tops
+            assert tally[0] == 0
+            # Without one top member, each order whose top held it reads one
+            # tail entry: the member that replaces it.
+            gone = orders[0][quota - 1]
+            menu = full & ~(1 << gone)
+            assert ranking._choose(menu) == mask_of(
+                c for order in orders for c in [c for c in order if c != gone][:quota]
+            )
+            assert tally[0] == sum(gone in order[:quota] for order in orders)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -564,3 +566,24 @@ def test_json_output_is_byte_deterministic(capsys):
     assert outputs[0] == outputs[1]
     # Canonical form: keys sorted, two-space indent, trailing newline.
     assert outputs[0] == json.dumps(json.loads(outputs[0]), indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_digest_script_covers_every_form(capsys, monkeypatch):
+    """``scripts/cli_digest.py`` runs 11 forms, each with and without
+    ``--json``, and hashes their answers; each form's exit code matches an
+    in-process run of the same arguments."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_digest.py"), "--verbose", "marriage_3x3"],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out[-2] == "22 forms"
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}", out[-1])
+    monkeypatch.chdir(root)  # the script passes fixture paths relative to the tree
+    forms = [line.split(" ", 2) for line in map(str.strip, out[:-2])]
+    assert len({argv for _, _, argv in forms}) == 22
+    assert {argv.split()[0] for _, _, argv in forms} == {
+        "validate", "solve", "lattice", "oracle", "market", "query"
+    }
+    for code, _, argv in forms:
+        assert run_cli(capsys, *argv.split())[0] == int(code), argv

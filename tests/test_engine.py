@@ -41,6 +41,7 @@ from contractmatch.generators import random_instance, random_marriage_profile
 from contractmatch.instancefile import load
 from contractmatch.oracle import brute_glb, brute_lub, enumerate_stable_agreements
 from contractmatch.preference import closure, prefers
+from contractmatch.sets import mask_of
 
 from conftest import all_masks, cycling_instance, deadline
 
@@ -487,9 +488,10 @@ def test_agent_evaluations_follow_rejections(k, monkeypatch):
 
     On the bare instance, whose agents are ranking evaluators, each rejection
     makes at most one proposer and one receiver choose again (a receiver that
-    only lost the offer it rejected is skipped), and the agreement verdict
-    evaluates the k proposers once more; the verdict's ``kept_additions``
-    makes no ``_choose`` call.
+    only lost the offer it rejected is skipped).  The agreement verdict
+    evaluates nobody: it reuses the receivers' last choice and asks the
+    proposers through ``rechoose`` from the last pool, which skips them all.
+    The verdict's ``kept_additions`` makes no ``_choose`` call.
     """
     calls = [0]
     ranking_choose = _Ranking._choose
@@ -512,13 +514,31 @@ def test_agent_evaluations_follow_rejections(k, monkeypatch):
             assert tally[0] <= 2 * k + 2 * rejections + 2 * outside
             calls[0] = 0
             assert run(inst, proposer) == result
-            assert calls[0] <= 3 * k + 2 * rejections
+            assert calls[0] <= 2 * k + 2 * rejections
+
+
+def _owners(f: AggregateChoice, subset: int) -> set[str]:
+    """The agents of ``f`` that own a contract of ``subset``."""
+    return {p.agent for p in f.parts if any(subset >> g & 1 for g in p.contract_ids)}
 
 
 @pytest.mark.parametrize("k", [16, 32])
-def test_verdict_evaluates_each_outside_contract_once_per_keeping_side(k):
+def test_verdict_evaluates_each_outside_contract_once_per_keeping_side(k, monkeypatch):
     """Side 1 evaluates the owner of every outside contract once; side 2
-    evaluates the owner of each outside contract that side 1 keeps."""
+    evaluates the owner of each outside contract that side 1 keeps.
+
+    On the bare instance, whose agents are ranking evaluators, each side
+    asks every owner concerned once, about all of its candidates: one
+    ``_kept_additions`` call per distinct owner.
+    """
+    calls = [0]
+    ranking_kept_additions = _Ranking._kept_additions
+
+    def counting_kept_additions(self, subset, candidates):
+        calls[0] += 1
+        return ranking_kept_additions(self, subset, candidates)
+
+    monkeypatch.setattr(_Ranking, "_kept_additions", counting_kept_additions)
     for seed in range(3):
         inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
         tally = [0]
@@ -528,14 +548,17 @@ def test_verdict_evaluates_each_outside_contract_once_per_keeping_side(k):
         for proposer in (1, 2):
             chosen = run(inst, proposer).chosen
             outside = inst.universe & ~chosen
-            kept1 = sum(
-                inst.f1.choose_mask(chosen | 1 << x) >> x & 1
+            kept1 = mask_of(
+                x
                 for x in range(inst.n)
-                if outside >> x & 1
+                if outside >> x & 1 and inst.f1.choose_mask(chosen | 1 << x) >> x & 1
             )
             tally[0] = 0
             assert is_stable_set(counted, chosen).stable
-            assert tally[0] == outside.bit_count() + kept1
+            assert tally[0] == outside.bit_count() + kept1.bit_count()
+            calls[0] = 0
+            assert is_stable_set(inst, chosen).stable
+            assert calls[0] == len(_owners(inst.f1, outside)) + len(_owners(inst.f2, kept1))
 
 
 class ChooseMaskOnly(ChoiceFunction):
