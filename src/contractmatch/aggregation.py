@@ -202,21 +202,27 @@ def build_marriage_instance(
     women = [f"w{j + 1}" for j in range(n_women)]
     if bool(men) != bool(women):  # the same refusal as aggregate_side's
         raise SpecError(f"agents {sorted(men or women)} declared but own no contracts")
-    # Man i owns the contiguous ids i*n_women.., woman j every n_women-th id from j.
+    # Man i owns the contiguous ids i*n_women.., woman j every n_women-th id
+    # from j.  Both sides slice one tuple, so a contract's two owners share
+    # its int object.
     n = n_men * n_women
+    ids = tuple(range(n))
     return Instance(
         names=tuple(map("_".join, product(men, women))),
         f1=_marriage_side(
-            n, men, men_prefs, [range(i * n_women, (i + 1) * n_women) for i in range(n_men)]
+            n, men, men_prefs, [ids[i * n_women : (i + 1) * n_women] for i in range(n_men)]
         ),
-        f2=_marriage_side(n, women, women_prefs, [range(j, n, n_women) for j in range(n_women)]),
+        f2=_marriage_side(n, women, women_prefs, [ids[j::n_women] for j in range(n_women)]),
         labels=tuple(starmap(ContractLabel, product(men, women))),
         coherence=COHERENCE_ASSERTED,
     )
 
 
 def _marriage_side(
-    n: int, agents: Sequence[str], prefs: Sequence[Sequence[int]], slices: Sequence[range]
+    n: int,
+    agents: Sequence[str],
+    prefs: Sequence[Sequence[int]],
+    slices: Sequence[tuple[int, ...]],
 ) -> AggregateChoice:
     """One side of a marriage market: agent ``a`` ranks its slice ``slices[a]``
     by ``prefs[a]``.  Parts are ordered by agent name, as in
@@ -224,5 +230,5 @@ def _marriage_side(
     parts = []
     for a in sorted(range(len(agents)), key=agents.__getitem__):
         spec = TopOfOrder(len(slices[a]), tuple(prefs[a]))
-        parts.append(AggregatePart(agents[a], spec, tuple(slices[a])))
+        parts.append(AggregatePart(agents[a], spec, slices[a]))
     return AggregateChoice(n, tuple(parts))

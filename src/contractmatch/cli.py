@@ -76,6 +76,16 @@ def _coherence_payload(report: CoherenceReport, names: Sequence[str]) -> dict:
     }
 
 
+def _coherent_if_affordable(f: ChoiceFunction) -> bool | None:
+    """Whether ``f`` is coherent, or ``None`` when ``n`` is above the
+    subset-pair or ``2^n`` scan bound and no scan is made."""
+    if f.n > limits.pairwise_bound() or f.n > limits.exhaustive_bound():
+        return None
+    from .coherence import check_coherent
+
+    return check_coherent(f).coherent
+
+
 def _validate_side(
     instance: Instance, side: int
 ) -> tuple[dict[str, Any], list[str], bool]:
@@ -103,10 +113,10 @@ def _validate_side(
     payload: dict[str, Any] = {"agents": agents}
     # The aggregation theorems make per-agent checks sufficient; rerun
     # on the whole side only when it is small enough to be free.
-    if instance.n <= limits.pairwise_bound() and instance.n <= limits.exhaustive_bound():
-        whole = check_coherent(f)
-        payload["aggregate_coherent"] = whole.coherent
-        ok = ok and whole.coherent
+    whole = _coherent_if_affordable(f)
+    if whole is not None:
+        payload["aggregate_coherent"] = whole
+        ok = ok and whole
     return payload, lines, ok
 
 
@@ -257,7 +267,16 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     payload["mismatches"] = mismatches
     npairs = len(catalog) * (len(catalog) + 1) // 2
     if mismatches:
-        lines.append(f"meet/join MISMATCH against brute force on {len(mismatches)} pair(s):")
+        # The lattice results hold only for coherent sides; scan them where affordable.
+        incoherent = [k for k in (1, 2) if _coherent_if_affordable(instance.side(k)) is False]
+        if incoherent:
+            note = "meet/join not guaranteed: " + ", ".join(
+                f"side {k} is not coherent" for k in incoherent
+            )
+            payload["note"] = note
+            lines.append(note)
+        else:
+            lines.append(f"meet/join MISMATCH against brute force on {len(mismatches)} pair(s):")
         lines.extend(f"  {m}" for m in mismatches)
     else:
         lines.append(f"meet/join verified against brute force on {npairs} pair(s)")
@@ -384,16 +403,11 @@ def _parse_name_list(raw: str, instance: Instance, flag: str) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from .coherence import check_coherent
-
     loaded = load(args.file)
     instance = loaded.instance
     f = instance.side(args.side)
     a = _parse_name_list(args.set_a, instance, "-A")
-    coherence = COHERENCE_UNKNOWN
-    if instance.n <= limits.pairwise_bound() and instance.n <= limits.exhaustive_bound():
-        if check_coherent(f).coherent:
-            coherence = COHERENCE_CHECKED
+    coherence = COHERENCE_CHECKED if _coherent_if_affordable(f) else COHERENCE_UNKNOWN
 
     if args.op == "closure":
         result = closure(f, a)

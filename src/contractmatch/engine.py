@@ -48,7 +48,7 @@ MODE_SINGLETON = "singleton"
 MODE_FULL = "full"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractLabel:
     """Names of the two agents a contract is between (side 1, side 2)."""
 

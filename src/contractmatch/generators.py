@@ -113,7 +113,7 @@ def random_instance(
         names=tuple(f"x{i}" for i in range(n)),
         f1=f1,
         f2=f2,
-        labels=tuple(ContractLabel(a, b) for a, b in zip(owner1, owner2)),
+        labels=tuple(map(ContractLabel, owner1, owner2)),
         coherence=COHERENCE_ASSERTED,
     )
 

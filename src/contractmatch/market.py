@@ -37,7 +37,7 @@ from .preference import COHERENCE_ASSERTED
 from .sets import format_mask, ids_of, iter_submasks, mask_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarketContract:
     """Who sells what to whom at which grid price (``price`` is a grid index)."""
 

@@ -144,7 +144,40 @@ def test_lattice_json_structure(capsys):
     payload = json.loads(out)
     assert payload["count"] == 3
     assert payload["verified"] is True
+    assert "note" not in payload
     assert len(payload["meet"]) == 6 and len(payload["join"]) == 6
+
+
+def test_lattice_on_an_incoherent_side_is_not_a_mismatch(tmp_path, monkeypatch, capsys):
+    """Side 1 drops both contracts from {a, b}, so {a} and {b} are both stable
+    and meet/join (which assume coherence) disagree with the brute-force
+    bounds.  That is reported as a missing guarantee, not as a solver bug,
+    unless the coherence scan is out of bounds."""
+    from contractmatch.choice import Identity, TableChoice
+    from contractmatch.engine import Instance
+
+    path = tmp_path / "incoherent.json"
+    save(path, Instance(("a", "b"), TableChoice(2, (0, 1, 2, 0)), Identity(2)))
+    note = "meet/join not guaranteed: side 1 is not coherent"
+
+    code, out, _ = run_cli(capsys, "lattice", str(path))
+    assert code == 1
+    assert "2 stable agreement(s)" in out
+    assert note in out and "MISMATCH" not in out
+    assert "  meet([0],[1]) = {} but the brute-force bound is None" in out
+
+    code, out, _ = run_cli(capsys, "lattice", str(path), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verified"] is False and payload["mismatches"]
+    assert payload["note"] == note
+
+    monkeypatch.setenv("CONTRACTMATCH_PAIRWISE_BOUND", "1")
+    code, out, _ = run_cli(capsys, "lattice", str(path), "--json")
+    assert code == 1
+    assert "note" not in json.loads(out)
+    code, out, _ = run_cli(capsys, "lattice", str(path))
+    assert "meet/join MISMATCH against brute force on 4 pair(s):" in out
 
 
 def test_oracle_catalog_json(capsys):

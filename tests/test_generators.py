@@ -1,0 +1,94 @@
+"""Seeded generators and the instances they build: pinned benchmark inputs
+and a lean per-contract footprint."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import hashlib
+import pickle
+
+import pytest
+
+from contractmatch.aggregation import build_marriage_instance
+from contractmatch.generators import (
+    random_instance,
+    random_marriage_profile,
+    random_money_economy,
+)
+from contractmatch.instancefile import dumps_document, to_document
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's inputs are pinned
+# ---------------------------------------------------------------------------
+
+
+def _digest(instance) -> str:
+    return hashlib.sha256(dumps_document(to_document(instance)).encode()).hexdigest()
+
+
+# SHA-256 of the canonical document of each input the `bulk` and `marriage`
+# workloads draw from; a generator or builder change that alters them fails here.
+PINNED = {
+    ("bulk", 1, 200): "97df7844cd568e64fcb66e694a6ae06aa1da515ff9f2873b2c723c3395234820",
+    ("bulk", 1, 500): "52992e26f4eca8dff8c94168659c28d9c8c212722ba803463868e445ac489cb9",
+    ("bulk", 1, 800): "21737275d643326f9aa29f57e16d793032ac87fae6a10ac08b8f15867fb19fbf",
+    ("bulk", 2, 200): "f99c1befca7c39a3c83eb05177c6895ecd2f2f69e7d5598642b8f650c9805d6d",
+    ("bulk", 2, 500): "51c08a20107d878824c55ec0d647c73a51973fb3389498394eb738d63d6bdfe4",
+    ("bulk", 2, 800): "fb05f9d626c77a896e10afa0fee6b2532c92970a37ec184e48cbb788b4d96a38",
+    ("marriage", 1, 16): "967dbc5ac5c7f4a9768f28ff9e96c59a2047ed1fdd22fd691246a7292b6810d9",
+    ("marriage", 1, 24): "e291e68a9cb85a2d38d9b2a59dd230a00a4ae34cdcec44b11471be7eae202052",
+    ("marriage", 1, 32): "b049ebbc234e58529ae2688af2ae6c3b32dc948ecc709de49c9e62748f2e694e",
+    ("marriage", 2, 16): "2e40a7d69ee0696825d4ac8954dd0015136a3781c42d79a175b99b91649d8f8b",
+    ("marriage", 2, 24): "86500813d013c1104468edc3fc910ef48868e408e72e03e1cba51a444dffa15d",
+    ("marriage", 2, 32): "4b31c842e635adb2c532fc604d95206dd54418fcc8304e9ed76f60ea878df02d",
+}
+
+
+@pytest.mark.parametrize("workload, seed, size", sorted(PINNED))
+def test_benchmark_inputs_are_pinned(workload, seed, size):
+    if workload == "bulk":
+        instance = random_instance(seed, size, 5, 20)
+    else:
+        instance = build_marriage_instance(*random_marriage_profile(seed, size, size))
+    assert _digest(instance) == PINNED[workload, seed, size]
+
+
+# ---------------------------------------------------------------------------
+# Per-contract footprint
+# ---------------------------------------------------------------------------
+
+
+def test_marriage_owners_share_each_contract_id():
+    k = 20  # ids above 256, which the interpreter does not cache
+    instance = build_marriage_instance(*random_marriage_profile(3, k, k))
+    men = {part.agent: part.contract_ids for part in instance.f1.parts}
+    women = {part.agent: part.contract_ids for part in instance.f2.parts}
+    for i in range(k):
+        for j in range(k):
+            assert men[f"m{i + 1}"][j] is women[f"w{j + 1}"][i]
+
+
+def test_contract_records_have_no_instance_dict():
+    labels = build_marriage_instance(*random_marriage_profile(1, 3, 3)).labels
+    labels += random_instance(1, 20, 2, 4).labels
+    contracts = random_money_economy(1).contracts
+    for record in (*labels, *contracts):
+        assert not hasattr(record, "__dict__"), record
+
+
+def test_slotted_records_copy_pickle_and_replace():
+    marriage = build_marriage_instance(*random_marriage_profile(5, 6, 6))
+    economy = random_money_economy(5)
+    for obj in (marriage, economy):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.deepcopy(obj) == obj
+    label = marriage.labels[0]
+    moved = dataclasses.replace(label, side2="w9")
+    assert (moved.side1, moved.side2) == (label.side1, "w9") and moved != label
+    back = dataclasses.replace(moved, side2=label.side2)
+    assert back == label and hash(back) == hash(label) and repr(back) == repr(label)
+    assert repr(label) == "ContractLabel(side1='m1', side2='w1')"
+    price = dataclasses.replace(economy.contracts[0], price=0)
+    assert price.tuple_key()[:3] == economy.contracts[0].tuple_key()[:3]
