@@ -27,6 +27,7 @@ number of full-width mask operations.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import product, starmap
@@ -39,7 +40,7 @@ from .preference import COHERENCE_ASSERTED
 from .sets import full_mask, mask_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregatePart:
     """One agent's share of a side: its name, function, and owned contracts.
 
@@ -184,7 +185,9 @@ def build_marriage_instance(
     strict), ``women_prefs[j]`` ranks all man indices.  Contract ``(i, j)``
     gets id ``i * n_women + j`` and name ``m{i+1}_w{j+1}``.  Each side
     aggregates one best-available-partner chooser per person, so both side
-    functions are coherent by construction.
+    functions are coherent by construction.  A preference list given as a
+    tuple becomes that person's ranking as it is, not a copy, and every
+    name is interned, so markets of one size share their name strings.
     """
     n_men, n_women = len(men_prefs), len(women_prefs)
     for i, prefs in enumerate(men_prefs):
@@ -198,8 +201,8 @@ def build_marriage_instance(
                 f"woman {j}: preference list must rank every man exactly once"
             )
 
-    men = [f"m{i + 1}" for i in range(n_men)]
-    women = [f"w{j + 1}" for j in range(n_women)]
+    men = [sys.intern(f"m{i + 1}") for i in range(n_men)]
+    women = [sys.intern(f"w{j + 1}") for j in range(n_women)]
     if bool(men) != bool(women):  # the same refusal as aggregate_side's
         raise SpecError(f"agents {sorted(men or women)} declared but own no contracts")
     # Man i owns the contiguous ids i*n_women.., woman j every n_women-th id
@@ -208,7 +211,7 @@ def build_marriage_instance(
     n = n_men * n_women
     ids = tuple(range(n))
     return Instance(
-        names=tuple(map("_".join, product(men, women))),
+        names=tuple(map(sys.intern, map("_".join, product(men, women)))),
         f1=_marriage_side(
             n, men, men_prefs, [ids[i * n_women : (i + 1) * n_women] for i in range(n_men)]
         ),

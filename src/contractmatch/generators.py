@@ -120,11 +120,14 @@ def random_instance(
 
 def random_marriage_profile(
     seed_or_rng: int | random.Random, n_men: int, n_women: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Complete strict preference lists for a marriage market."""
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Complete strict preference lists for a marriage market: one order
+    per man over the women, then one per woman over the men, each a tuple
+    that :func:`~contractmatch.aggregation.build_marriage_instance` keeps
+    as the person's ranking without copying it."""
     rng = _rng(seed_or_rng)
-    men = [list(random_order(rng, n_women)) for _ in range(n_men)]
-    women = [list(random_order(rng, n_men)) for _ in range(n_women)]
+    men = [random_order(rng, n_women) for _ in range(n_men)]
+    women = [random_order(rng, n_men) for _ in range(n_women)]
     return men, women
 
 

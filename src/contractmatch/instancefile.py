@@ -14,10 +14,13 @@ or a partition into agents, each with its own function over its slice::
                                            "order": ["m1_w1", "m1_w2"]}}}}
 
 Within a block, contracts are referred to by name; subsets are arrays of
-names.  Exact rationals are written as ints or ``"p/q"`` strings (floats
-are rejected).  Unknown variant tags and malformed payloads raise
+names.  Exact rationals are written as ints or ``"[-]p[/q]"`` strings of
+decimal digits (floats, exponents and decimals are rejected).  Unknown
+variant tags and malformed payloads raise
 :class:`~contractmatch.errors.ParseError` carrying the dotted position of
-the offending element.  ``parse -> serialize -> parse`` is the identity.
+the offending element, and so does a file that the JSON decoder refuses
+for its nesting depth or an integer's length.
+``parse -> serialize -> parse`` is the identity.
 :mod:`contractmatch.market` is imported only for a file with a market
 section or a market variant.
 """
@@ -25,6 +28,8 @@ section or a market variant.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -95,6 +100,9 @@ def _expect_int(value: Any, loc: str) -> int:
     return value
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_fraction(value: Any, loc: str) -> Fraction:
     from fractions import Fraction
 
@@ -103,10 +111,14 @@ def _parse_fraction(value: Any, loc: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a valid rational: {value!r}", loc) from None
+        # ``Fraction(str)`` also takes exponents, building 10**e exactly,
+        # and decimals, ``_`` separators and padding: refuse them all.
+        if _RATIONAL.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ParseError(f"not a valid rational: {value!r}", loc)
     raise ParseError(
         f"expected an int or 'p/q' string (floats are inexact), got {value!r}", loc
     )
@@ -598,6 +610,12 @@ def load(path: str | Path) -> LoadedFile:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}", str(path)) from None
+    except RecursionError:
+        raise ParseError("arrays or objects nest too deeply to decode", str(path)) from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParseError(
+            f"an integer has more than {sys.get_int_max_str_digits()} digits", str(path)
+        ) from None
     return parse_document(doc)
 
 

@@ -91,15 +91,10 @@ def closure(f: ChoiceFunction, subset: int) -> int:
     """The largest menu revealed equivalent to ``subset``.
 
     Adds every outside contract that is rejected when offered on top of
-    ``subset``.  On coherent functions the result chooses the same set as
-    ``subset``, is idempotent, and characterizes the revealed order:
-    ``a`` is below ``b`` exactly when ``a <= closure(f, b)``.
+    ``subset``, found by one ``kept_additions`` call.  On coherent functions
+    the result chooses the same set as ``subset``, is idempotent, and
+    characterizes the revealed order: ``a`` is below ``b`` exactly when
+    ``a <= closure(f, b)``.
     """
-    extra = 0
     outside = full_mask(f.n) & ~subset
-    while outside:
-        xbit = outside & -outside
-        if not f.choose_mask(subset | xbit) & xbit:
-            extra |= xbit
-        outside ^= xbit
-    return subset | extra
+    return subset | outside & ~f.kept_additions(subset, outside)

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -388,6 +389,49 @@ def test_exit_2_on_non_utf8_file(tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"error: {path}: not UTF-8 text")
     assert "Traceback" not in err
+
+
+def _one_contract_valuation(value: str) -> str:
+    """A one-contract file whose side 1 values {a} at ``value`` (JSON text)."""
+    values = f'[{{"set": [], "value": 0}}, {{"set": ["a"], "value": {value}}}]'
+    return (
+        '{"schema_version": 1, "contracts": ["a"], "choice": {"side1":'
+        f' {{"variant": "valuation_argmax", "values": {values}}},'
+        ' "side2": {"variant": "identity"}}}'
+    )
+
+
+# Each once ended in a traceback or ran until killed: the decoder's
+# recursion limit, its limit on integer digits, and an exponent that
+# ``Fraction`` expanded to a billion digits.
+LIMIT_PROBES = {
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,
+    "long_integer": _one_contract_valuation("9" * 5000),
+    "huge_exponent": _one_contract_valuation('"1e1000000000"'),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(LIMIT_PROBES))
+def test_exit_2_fast_on_decoder_and_number_limits(probe, tmp_path, capsys):
+    path = tmp_path / f"{probe}.json"
+    path.write_text(LIMIT_PROBES[probe])
+    start = time.perf_counter()
+    with deadline(5):
+        code, out, err = run_cli(capsys, "solve", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_rationals_take_only_digits_and_one_slash(tmp_path, capsys):
+    path = tmp_path / "valuation.json"
+    for value in ('"-3/2"', '"7"', "4"):
+        path.write_text(_one_contract_valuation(value))
+        assert run_cli(capsys, "solve", str(path))[0] == 0, value
+    for value in ('"1e3"', '"1.5"', '"1_000"', '" 1"', '"+1"', '"3/-2"', '"1/0"', '"\u0661"'):
+        path.write_text(_one_contract_valuation(value))
+        code, _, err = run_cli(capsys, "solve", str(path))
+        assert code == 2 and "not a valid rational" in err, value
 
 
 def test_solve_reports_a_cycle(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """No input file crashes or hangs the CLI.
 
-Hypothesis feeds ``cli.main`` mutated copies of the shipped fixtures and
-random table instances (n <= 4, usually incoherent), running every
-subcommand on each.  Every call must return an exit code 0-3 (success,
-check failed, bad input, size bound) within a deadline; an exception that
-escapes ``main`` fails the test.  The runs are derandomized, so the same
+Hypothesis feeds ``cli.main`` mutated copies of the shipped fixtures,
+random table instances (n <= 4, usually incoherent), one-contract valuation
+files whose numbers are drawn from number-like strings and long literals,
+and fixtures with a node replaced by deeply nested arrays or objects,
+running every subcommand on each.  Every call must return an exit code 0-3
+(success, check failed, bad input, size bound) within a deadline; an
+exception that escapes ``main`` fails the test.  The runs are derandomized, so the same
 examples are drawn on every run.
 """
 
@@ -43,6 +45,26 @@ FORMS = (
 # names that may or may not exist.
 JUNK = (None, True, -1, 0, 2, 10**30, 1.5, "", "x", "1/0", "m1_w1", [], [[]], {}, {"a": 1})
 
+# Number strings the rational grammar (``[-]digits[/digits]``) must read or
+# refuse at once, whatever ``Fraction(str)`` or ``int(str)`` would make of
+# them: exponents, long digit runs, ``_`` separators, whitespace.
+NUMBER_STRINGS = st.one_of(
+    st.sampled_from(
+        (
+            "1e1000000000", "-1E-999999999", "1_000", " 3/2", "3/2\n", "+1", "1.5",
+            "\u0661\u0662", "0x1f", "inf", "nan", "1/0", "3/-2", "1" * 5000, "9" * 4000 + "/7",
+        )
+    ),
+    st.from_regex(
+        r"\s?-?[0-9_]{1,6}(\.[0-9]{1,3})?([eE][-+]?[0-9]{1,10})?(/[0-9_]{1,4})?\s?",
+        fullmatch=True,
+    ),
+)
+
+# Raw JSON number literals: past the decoder's digit limit (4300 by
+# default), at it, and floats that overflow or underflow.
+NUMBER_LITERALS = ("9" * 5000, "-" + "1" * 4301, "1" * 4300, "1e1000000000", "1E-400", "-0.0")
+
 FUZZ = settings(
     derandomize=True,
     database=None,
@@ -64,6 +86,13 @@ def _nodes(node, path=()):
         yield from _nodes(child, (*path, key))
 
 
+def _parent(doc, path):
+    """The container holding the node at ``path`` (a non-empty path)."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def mutated_fixtures(draw) -> dict:
     """A fixture with one to three nodes replaced, deleted or duplicated."""
@@ -72,10 +101,7 @@ def mutated_fixtures(draw) -> dict:
         path = draw(st.sampled_from(list(_nodes(doc))))
         if not path:
             continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
+        parent, key = _parent(doc, path), path[-1]
         action = draw(st.sampled_from(("replace", "delete", "duplicate")))
         if action == "replace":
             parent[key] = draw(st.sampled_from(JUNK))
@@ -86,6 +112,61 @@ def mutated_fixtures(draw) -> dict:
         else:
             parent[draw(st.sampled_from(("x", "m1", key + "_")))] = copy.deepcopy(parent[key])
     return doc
+
+
+def _splice(doc, raw: list[str]) -> str:
+    """``doc`` as JSON text, each string ``"<raw i>"`` in it replaced by the
+    JSON text ``raw[i]``."""
+    text = json.dumps(doc)
+    for i, piece in enumerate(raw):
+        text = text.replace(json.dumps(f"<raw {i}>"), piece)
+    return text
+
+
+@st.composite
+def valuation_numbers(draw) -> str:
+    """A one-contract valuation file whose values, epsilon and price are
+    ints, number strings or raw number literals."""
+    raw: list[str] = []
+
+    def number():
+        kind = draw(st.sampled_from(("int", "string", "literal")))
+        if kind == "int":
+            return draw(st.integers(-10, 10))
+        if kind == "string":
+            return draw(NUMBER_STRINGS)
+        raw.append(draw(st.sampled_from(NUMBER_LITERALS)))
+        return f"<raw {len(raw) - 1}>"
+
+    values = [{"set": [], "value": number()}, {"set": ["a"], "value": number()}]
+    block = {"variant": "valuation_argmax", "values": values}
+    if draw(st.booleans()):
+        block["epsilon"] = number()
+        if draw(st.booleans()):
+            block["prices"] = [number()]
+    doc = {
+        "schema_version": 1,
+        "contracts": ["a"],
+        "choice": {"side1": block, "side2": {"variant": "identity"}},
+    }
+    return _splice(doc, raw)
+
+
+@st.composite
+def nested_fixtures(draw) -> str:
+    """A fixture with one node (or the whole document) replaced by arrays
+    or objects nested up to and past the decoder's recursion limit."""
+    doc = copy.deepcopy(FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))])
+    depth = draw(st.sampled_from((2, 50, 500, 990, 5000, 100_000)))
+    if draw(st.booleans()):
+        nested = "[" * depth + "]" * depth
+    else:
+        nested = '{"a": ' * depth + "1" + "}" * depth
+    path = draw(st.sampled_from(list(_nodes(doc))))
+    if not path:
+        return nested
+    _parent(doc, path)[path[-1]] = "<raw 0>"
+    return _splice(doc, [nested])
 
 
 def _random_table(draw, k: int) -> TableChoice:
@@ -138,3 +219,19 @@ def test_random_tables_end_in_an_exit_code(instance, tmp_path):
     path = tmp_path / "tables.json"
     save(path, instance)
     _run_every_form(path, instance.names)
+
+
+@settings(FUZZ, max_examples=40)
+@given(text=valuation_numbers())
+def test_number_strings_end_in_an_exit_code(text, tmp_path):
+    path = tmp_path / "numbers.json"
+    path.write_text(text)
+    _run_every_form(path, ["a"])
+
+
+@settings(FUZZ, max_examples=30)
+@given(text=nested_fixtures())
+def test_deep_nesting_ends_in_an_exit_code(text, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    _run_every_form(path, ["x"])

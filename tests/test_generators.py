@@ -7,6 +7,10 @@ import copy
 import dataclasses
 import hashlib
 import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,20 +74,57 @@ def test_marriage_owners_share_each_contract_id():
             assert men[f"m{i + 1}"][j] is women[f"w{j + 1}"][i]
 
 
+def _names(instance) -> list[str]:
+    """Every contract and agent name an instance holds."""
+    names = [*instance.names]
+    for label in instance.labels:
+        names += [label.side1, label.side2]
+    for side in (instance.f1, instance.f2):
+        names += [part.agent for part in side.parts]
+    return names
+
+
+def test_marriage_instances_of_one_size_share_each_name_object():
+    k = 12
+    first = build_marriage_instance(*random_marriage_profile(1, k, k))
+    second = build_marriage_instance(*random_marriage_profile(2, k, k))
+    assert first != second
+    for x, y in zip(_names(first), _names(second), strict=True):
+        assert x is y
+    assert all(name is sys.intern(name) for name in _names(first))
+
+
+def test_marriage_rankings_are_the_profile_tuples():
+    men, women = random_marriage_profile(4, 7, 5)
+    assert all(type(prefs) is tuple for prefs in men + women)
+    instance = build_marriage_instance(men, women)
+    for side, prefs in ((instance.f1, men), (instance.f2, women)):
+        for part in side.parts:
+            assert part.spec.order is prefs[int(part.agent[1:]) - 1], part.agent
+
+
 def test_contract_records_have_no_instance_dict():
-    labels = build_marriage_instance(*random_marriage_profile(1, 3, 3)).labels
-    labels += random_instance(1, 20, 2, 4).labels
+    marriage = build_marriage_instance(*random_marriage_profile(1, 3, 3))
+    bulk = random_instance(1, 20, 2, 4)
+    labels = marriage.labels + bulk.labels
+    parts = marriage.f1.parts + marriage.f2.parts + bulk.f1.parts + bulk.f2.parts
     contracts = random_money_economy(1).contracts
-    for record in (*labels, *contracts):
+    for record in (*labels, *parts, *contracts):
         assert not hasattr(record, "__dict__"), record
 
 
 def test_slotted_records_copy_pickle_and_replace():
     marriage = build_marriage_instance(*random_marriage_profile(5, 6, 6))
     economy = random_money_economy(5)
-    for obj in (marriage, economy):
+    part = marriage.f1.parts[0]
+    for obj in (marriage, economy, part):
         assert pickle.loads(pickle.dumps(obj)) == obj
         assert copy.deepcopy(obj) == obj
+    moved = dataclasses.replace(part, agent="m9")
+    assert (moved.agent, moved.spec, moved.contract_ids) == ("m9", part.spec, part.contract_ids)
+    assert dataclasses.replace(moved, agent=part.agent) == part
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.agent = "m9"
     label = marriage.labels[0]
     moved = dataclasses.replace(label, side2="w9")
     assert (moved.side1, moved.side2) == (label.side1, "w9") and moved != label
@@ -92,3 +133,17 @@ def test_slotted_records_copy_pickle_and_replace():
     assert repr(label) == "ContractLabel(side1='m1', side2='w1')"
     price = dataclasses.replace(economy.contracts[0], price=0)
     assert price.tuple_key()[:3] == economy.contracts[0].tuple_key()[:3]
+
+
+def test_footprint_script_reports_a_marriage_cycle():
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "footprint.py"),
+         "--workload", "marriage", "--seed", "1"],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert len(out) > 1
+    for line in out[:-1]:
+        assert re.fullmatch(r" *\d+ B +-?\d+ blocks  \S+:\d+", line), line
+    retained = re.fullmatch(r"retained (\d+) bytes in [1-9][0-9]* inputs", out[-1])
+    assert retained and int(retained[1]) > 0, out[-1]

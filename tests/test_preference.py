@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 import contractmatch.preference as preference
+from contractmatch.aggregation import aggregate_side
 from contractmatch.choice import TableChoice
 from contractmatch.coherence import check_coherent
 from contractmatch.corpus import no_stable_agreement_instance
+from contractmatch.generators import random_instance
 from contractmatch.preference import (
     COHERENCE_ASSERTED,
     COHERENCE_CHECKED,
@@ -17,6 +21,8 @@ from contractmatch.preference import (
     indifferent,
     prefers,
 )
+
+from contractmatch.sets import full_mask
 
 from conftest import all_masks, random_coherent_function, table_of
 
@@ -139,6 +145,39 @@ def test_mutually_below_without_equality_exists():
             assert prefers(f, a, table[a]).holds and prefers(f, table[a], a).holds
             found = True
     assert found
+
+
+def _closure_by_single_offers(f, subset: int) -> int:
+    """The closure as first written: one ``choose_mask`` per outside contract."""
+    extra = 0
+    outside = full_mask(f.n) & ~subset
+    while outside:
+        xbit = outside & -outside
+        if not f.choose_mask(subset | xbit) & xbit:
+            extra |= xbit
+        outside ^= xbit
+    return subset | extra
+
+
+def _random_table(rng: random.Random, n: int) -> TableChoice:
+    """Any entries within the universe: Contraction and the axioms may fail."""
+    return TableChoice(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+
+
+def test_closure_matches_one_choice_per_outside_contract():
+    functions = []
+    for seed in range(30):
+        instance = random_instance(seed, 2 + seed % 7, 1, 4)
+        functions += [instance.f1, instance.f2]
+    rng = random.Random(0)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        owners = [rng.choice("abc") for _ in range(n)]
+        specs = {a: _random_table(rng, owners.count(a)) for a in sorted(set(owners))}
+        functions += [_random_table(rng, n), aggregate_side(specs, owners)]
+    for f in functions:
+        for subset in all_masks(f.n):
+            assert closure(f, subset) == _closure_by_single_offers(f, subset), (f, subset)
 
 
 # ---------------------------------------------------------------------------
