@@ -12,11 +12,13 @@ Agents' functions are written over their own compact universe
 :class:`AggregatePart` records the translation.  :class:`AggregateChoice`
 writes each agent in global ids once, when the side is built (see
 ``ChoiceFunction._relabelled``): a ranking or market consumer becomes a top
-mask and a tail walk per order, a filter or market producer a mask over
-global ids, and only tables, valuations and foreign subclasses map ids on
-each call.  Its ``kept_additions`` asks each owner once about all of its
-candidates, and its ``rechoose`` evaluates only the agents whose share of
-the menu changed.  A ranking or filter agent whose share only lost
+mask and a tail walk per order (``_Top`` for one non-empty order with
+quota 1, as every marriage agent is, ``_Ranking`` for any other shape), a
+filter or market producer a mask over global ids, and only tables,
+valuations and foreign subclasses map ids on each call.  Its
+``kept_additions`` asks each owner once about all of its candidates, and
+its ``rechoose`` evaluates only the agents whose share of the menu
+changed.  A ranking or filter agent whose share only lost
 contracts it had rejected is skipped too: it is coherent by construction,
 so that loss cannot change its choice (``ignores_rejected`` in
 :mod:`contractmatch.choice`).  Tables, valuations and other evaluators are

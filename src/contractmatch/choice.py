@@ -21,12 +21,16 @@ calls; :class:`~contractmatch.aggregation.AggregateChoice` overrides them to
 evaluate only the agents concerned.
 
 The rankings (:class:`TopOfOrder`, :class:`ResponsiveQuota`,
-:class:`UnionOfOrders`, the market's unit-demand consumer) share one
-evaluator, "the ``quota`` best available contracts of each order", where
-"``x`` is kept from ``S | {x}``" is one rank threshold.  It splits each
-order once into a top mask (its first ``quota`` contracts) and a tail, so a
-menu holding the whole top is answered by mask operations alone and only
-the tail is walked, for the members the top lacks.  ``_relabelled``
+:class:`UnionOfOrders`, the market's unit-demand consumer) all choose "the
+``quota`` best available contracts of each order", where "``x`` is kept
+from ``S | {x}``" is one rank threshold.  Two evaluators do this, and the
+function's shape picks one when it is relabelled: ``_Top`` for exactly one
+non-empty order with quota 1 (a Gale-Shapley agent: the best available
+contract), ``_Ranking`` for several orders, any other quota or an empty
+order.  Both split each order once into a top mask (its first ``quota``
+contracts) and a tail, so a menu holding the whole top is answered by mask
+operations alone and only the tail is walked, for the members the top
+lacks; ``_Top`` does so without counting bits or quotas.  ``_relabelled``
 fits a function to a slice of a larger universe: a ranking is rewritten in
 global ids once, :class:`Identity` and the market's linear producer become
 a mask, and only tables, valuations and foreign subclasses are evaluated
@@ -155,7 +159,9 @@ class _Ranking:
     and its *tail* (the rest, in order), so the top is answered by one mask
     operation and only the tail is walked, for the members the top lacks.
     Coherent by construction, so removing contracts it did not choose never
-    changes its choice (``ignores_rejected``).
+    changes its choice (``ignores_rejected``).  A ranking of exactly one
+    non-empty order with quota 1 gets the leaner :class:`_Top` instead (see
+    :meth:`_RankingChoice._relabelled`).
     """
 
     __slots__ = ("splits", "quota", "piece")
@@ -206,6 +212,52 @@ class _Ranking:
         return candidates & better
 
 
+class _Top:
+    """Chooses the best available contract of one order: :class:`_Ranking`
+    with a single non-empty order and quota 1, the evaluator of Gale and
+    Shapley's agents.
+
+    Every contract of ``piece`` is in the order; ``top`` is the mask of its
+    first contract and ``tail`` the rest, in order.  A menu share of at most
+    one contract is chosen whole; otherwise the top is chosen if present,
+    else the first present tail entry.  No ``bit_count`` and no quota
+    bookkeeping.  Coherent by construction (``ignores_rejected``).
+    """
+
+    __slots__ = ("top", "tail", "piece")
+    ignores_rejected = True
+
+    def __init__(self, top: int, tail: Sequence[int], piece: int):
+        self.top, self.tail, self.piece = top, tail, piece
+
+    def _choose(self, subset: int) -> int:
+        share = subset & self.piece
+        if not share & (share - 1):
+            return share
+        if share & self.top:
+            return self.top
+        for c in self.tail:
+            if share >> c & 1:
+                return 1 << c
+        return 0
+
+    def _kept_additions(self, subset: int, candidates: int) -> int:
+        """``x`` is kept from ``S | {x}`` exactly when the order ranks ``x``
+        no lower than the best member of ``S``: any candidate of the piece
+        when ``S`` shares nothing with it, else the top and the tail up to
+        and including that member."""
+        share = subset & self.piece
+        if not share:
+            return candidates & self.piece
+        better = self.top
+        if not share & better:
+            for c in self.tail:
+                better |= 1 << c
+                if share >> c & 1:
+                    break
+        return candidates & better
+
+
 class _Slice:
     """:class:`Identity` on ``piece``: every contract of it is chosen, so
     removing contracts it did not choose never changes its choice."""
@@ -226,13 +278,16 @@ class _Slice:
 class _RankingChoice(ChoiceFunction):
     """A variant that chooses the ``quota`` best available contracts of each
     of its orders, given by ``_orders_and_quota``.  Its own calls and its
-    relabelled form are both a :class:`_Ranking`."""
+    relabelled form share one evaluator, picked from the function's shape:
+    :class:`_Top` for exactly one non-empty order with quota 1, and
+    :class:`_Ranking` for several orders, a quota other than 1 or an empty
+    order."""
 
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         raise NotImplementedError
 
     @cached_property
-    def _ranking(self) -> _Ranking:
+    def _ranking(self) -> _Ranking | _Top:
         """The evaluator over local ids, built on the first direct call: an
         agent inside an aggregate is only ever called relabelled."""
         return self._relabelled(range(self.n), full_mask(self.n))
@@ -243,10 +298,15 @@ class _RankingChoice(ChoiceFunction):
     def _kept_additions(self, subset: int, candidates: int) -> int:
         return self._ranking._kept_additions(subset, candidates)
 
-    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
-        """The orders written in global ids once, as compact arrays."""
+    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking | _Top:
+        """The orders written in global ids once, as compact arrays: a
+        :class:`_Top` for exactly one non-empty order with quota 1, else a
+        :class:`_Ranking`."""
         orders, quota = self._orders_and_quota()
         code = "H" if piece.bit_length() <= 1 << 16 else "L"
+        if quota == 1 and len(orders) == 1 and orders[0]:
+            order = orders[0]
+            return _Top(1 << ids[order[0]], array(code, [ids[c] for c in order[1:]]), piece)
         global_orders = tuple(array(code, [ids[c] for c in order]) for order in orders)
         return _Ranking(global_orders, quota, piece)
 

@@ -23,6 +23,7 @@ from contractmatch.choice import (
     ValuationArgmax,
     _Ranking,
     _RankingChoice,
+    _Top,
     convolve_valuations,
     tabulate,
     union_of_orders_choice,
@@ -367,6 +368,66 @@ def test_ranking_evaluator_walks_only_the_tail():
                 c for order in orders for c in [c for c in order if c != gone][:quota]
             )
             assert tally[0] == sum(gone in order[:quota] for order in orders)
+
+
+def _consumer(templates: tuple[str, ...], k: int) -> UnitDemandConsumerChoice:
+    """A unit-demand consumer on k affordable contracts whose templates
+    cycle through ``templates``: one order per template."""
+    contracts = [MarketContract("p", "c", templates[i % len(templates)], i % 4) for i in range(k)]
+    return build_unit_demand_consumer(contracts, (10, 12, 14, 16), dict.fromkeys(templates, 16))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_one_order_quota_1_rankings_get_the_top_evaluator(k):
+    """``_relabelled``, and so ``_ranking``, is a :class:`_Top` exactly for
+    one non-empty order with quota 1, and a :class:`_Ranking` for any other
+    quota, several orders or an empty order."""
+    rng = random.Random(k)
+    order = tuple(rng.sample(range(k), k))
+    tops = [
+        TopOfOrder(k, order),
+        ResponsiveQuota(k, order, 1),
+        UnionOfOrders(k, (order,)),
+        _consumer(("t1",), k),
+    ]
+    rankings = [
+        *(ResponsiveQuota(k, order, q) for q in (0, 2, k + 1)),
+        UnionOfOrders(k, (order, order[::-1])),
+        _consumer(("t1", "t2"), max(k, 2)),
+        TopOfOrder(0, ()),
+    ]
+    for evaluator, functions in ((_Top, tops), (_Ranking, rankings)):
+        for f in functions:
+            ids = tuple(range(1, 2 * f.n, 2))
+            assert type(f._relabelled(ids, mask_of(ids))) is evaluator
+            assert type(f._ranking) is evaluator
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 40, 64])
+def test_top_evaluator_matches_a_quota_1_ranking(k):
+    """:class:`_Top` against :class:`_Ranking` with quota 1 over the same
+    order, relabelled onto a scattered slice of a 3k-contract universe: on
+    every menu and candidate set up to k = 8, and on dense, sparse and
+    half-full ones beyond.  Its ``_choose`` always answers a mask."""
+    rng = random.Random(k)
+    ids = tuple(sorted(rng.sample(range(3 * k), k)))
+    piece = mask_of(ids)
+    outside = full_mask(3 * k) & ~piece
+    order = tuple(rng.sample(range(k), k))
+    top = TopOfOrder(k, order)._relabelled(ids, piece)
+    ranking = _Ranking([[ids[c] for c in order]], 1, piece)
+    assert type(top) is _Top
+    menus = all_masks(k) if k <= 8 else _large_menus(rng, k)
+    spread = [mask_of(ids[i] for i in range(k) if menu >> i & 1) for menu in menus]
+    for subset in spread:
+        subset |= rng.getrandbits(3 * k) & outside
+        chosen = top._choose(subset)
+        assert type(chosen) is int and chosen == ranking._choose(subset)
+        for candidates in spread:
+            candidates |= rng.getrandbits(3 * k) & outside
+            assert top._kept_additions(subset, candidates) == ranking._kept_additions(
+                subset, candidates
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from contractmatch.aggregation import AggregateChoice, AggregatePart, build_marriage_instance
-from contractmatch.choice import ChoiceFunction, Identity, TableChoice, TopOfOrder, _Ranking
+from contractmatch.choice import ChoiceFunction, Identity, TableChoice, TopOfOrder, _Ranking, _Top
 from contractmatch.corpus import (
     FIXTURE_DIR,
     marriage_1x1,
@@ -321,6 +321,42 @@ def test_meet_join_random_instances():
                 assert meet(inst, b, a) == m and join(inst, b, a) == j
 
 
+@pytest.mark.parametrize(("k", "seed"), [(16, 5), (32, 9)])
+def test_lattice_laws_beyond_the_oracle_bound(k, seed):
+    """Meet and join on k x k marriage markets, too large for the oracle's
+    catalog, whose agents are all one-order, quota-1 evaluators.
+
+    The agreements come from the engine: both extremes, runs from random
+    pools that end in a stable agreement, and the meets and joins of those.
+    On every pair, meet and join are stable agreements, commute and absorb,
+    and the meet of the two extremes is the side-2-optimal agreement.
+    """
+    inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
+    assert all(type(a) is _Top for f in (inst.f1, inst.f2) for a in f._agents)
+    best1, best2 = run(inst, 1).chosen, run(inst, 2).chosen
+    assert best1 != best2
+    rng = random.Random(seed)
+    found = {best1, best2}
+    for _ in range(60):
+        pool = inst.universe & ~mask_of(rng.sample(range(inst.n), rng.randint(1, k)))
+        result = run(inst, rng.choice((1, 2)), pool)
+        if result.stable_agreement:
+            found.add(result.chosen)
+    engine_found = tuple(found)
+    found |= {op(inst, a, b) for a in engine_found for b in engine_found for op in (meet, join)}
+    assert len(found) > 2
+    with deadline(3):
+        for a in found:
+            for b in found:
+                m, j = meet(inst, a, b), join(inst, a, b)
+                assert is_stable_agreement(inst, m).holds
+                assert is_stable_agreement(inst, j).holds
+                assert meet(inst, b, a) == m and join(inst, b, a) == j
+                assert meet(inst, a, j) == a and join(inst, a, m) == a
+    assert meet(inst, best1, best2) == best2
+    assert join(inst, best1, best2) == best1
+
+
 def test_meet_requires_stable_inputs():
     inst = marriage_2x2()
     good = inst.mask_of_names(["m1_w1", "m2_w2"])
@@ -477,6 +513,21 @@ def _counted(f: AggregateChoice, tally: list[int]) -> AggregateChoice:
     return AggregateChoice(f.n, parts)
 
 
+def _count_ranking_calls(monkeypatch, method: str) -> list[int]:
+    """Count, in the returned one-item tally, the calls of ``method`` on
+    both ranking evaluators, :class:`_Ranking` and :class:`_Top`."""
+    calls = [0]
+    for cls in (_Ranking, _Top):
+        original = getattr(cls, method)
+
+        def counting(self, *args, original=original):
+            calls[0] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, method, counting)
+    return calls
+
+
 @pytest.mark.parametrize("k", [16, 32])
 def test_agent_evaluations_follow_rejections(k, monkeypatch):
     """Per-agent evaluations in a k x k marriage run.
@@ -493,14 +544,7 @@ def test_agent_evaluations_follow_rejections(k, monkeypatch):
     proposers through ``rechoose`` from the last pool, which skips them all.
     The verdict's ``kept_additions`` makes no ``_choose`` call.
     """
-    calls = [0]
-    ranking_choose = _Ranking._choose
-
-    def counting_choose(self, subset):
-        calls[0] += 1
-        return ranking_choose(self, subset)
-
-    monkeypatch.setattr(_Ranking, "_choose", counting_choose)
+    calls = _count_ranking_calls(monkeypatch, "_choose")
     for seed in range(5):
         inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
         for proposer in (1, 2):
@@ -514,7 +558,7 @@ def test_agent_evaluations_follow_rejections(k, monkeypatch):
             assert tally[0] <= 2 * k + 2 * rejections + 2 * outside
             calls[0] = 0
             assert run(inst, proposer) == result
-            assert calls[0] <= 2 * k + 2 * rejections
+            assert 0 < calls[0] <= 2 * k + 2 * rejections
 
 
 def _owners(f: AggregateChoice, subset: int) -> set[str]:
@@ -531,14 +575,7 @@ def test_verdict_evaluates_each_outside_contract_once_per_keeping_side(k, monkey
     asks every owner concerned once, about all of its candidates: one
     ``_kept_additions`` call per distinct owner.
     """
-    calls = [0]
-    ranking_kept_additions = _Ranking._kept_additions
-
-    def counting_kept_additions(self, subset, candidates):
-        calls[0] += 1
-        return ranking_kept_additions(self, subset, candidates)
-
-    monkeypatch.setattr(_Ranking, "_kept_additions", counting_kept_additions)
+    calls = _count_ranking_calls(monkeypatch, "_kept_additions")
     for seed in range(3):
         inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
         tally = [0]
