@@ -47,9 +47,7 @@ _EXPORTS = {
         "TopOfOrder",
         "UnionOfOrders",
         "ValuationArgmax",
-        "convolve_valuations",
         "tabulate",
-        "union_of_orders_choice",
         "valuation_choice",
     ),
     "coherence": (

@@ -596,34 +596,6 @@ def valuation_choice(
     return ValuationArgmax(n, table, scheme)
 
 
-def union_of_orders_choice(orders: Sequence[Sequence[int]], n: int) -> UnionOfOrders:
-    """Build the choice function selecting the top of each given total order."""
-    return UnionOfOrders(n, tuple(tuple(order) for order in orders))
-
-
-def convolve_valuations(
-    first: Sequence[Fraction | int], second: Sequence[Fraction | int]
-) -> tuple[Fraction, ...]:
-    """Sup-convolution of two subset valuations over a common universe.
-
-    ``out[A] = max over B <= A of first[B] + second[A - B]``: the best joint
-    value achievable by splitting the menu between two agents.  Exposed as a
-    computable object only; no relationship to aggregated choice functions
-    is asserted.
-    """
-    from fractions import Fraction
-
-    a = tuple(Fraction(v) for v in first)
-    b = tuple(Fraction(v) for v in second)
-    n = _universe_size(len(a))
-    if _universe_size(len(b)) != n:
-        raise SpecError("valuations must share one universe to be convolved")
-    out = []
-    for menu in range(1 << n):
-        out.append(max(a[sub] + b[menu ^ sub] for sub in iter_submasks(menu)))
-    return tuple(out)
-
-
 def tabulate(f: ChoiceFunction) -> TableChoice:
     """Materialize any choice function as an explicit table.
 

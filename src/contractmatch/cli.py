@@ -247,20 +247,14 @@ def cmd_lattice(args: argparse.Namespace) -> int:
             j = join(instance, a, b)
             meets.append({"a": i, "b": j_, "result": instance.names_of(m)})
             joins.append({"a": i, "b": j_, "result": instance.names_of(j)})
-            oracle_m = brute_glb(catalog, a, b)
-            oracle_j = brute_lub(catalog, a, b)
-            if oracle_m != m:
-                mismatches.append(
-                    f"meet([{i}],[{j_}]) = {format_mask(m, instance.names)}"
-                    f" but the brute-force bound is"
-                    f" {None if oracle_m is None else format_mask(oracle_m, instance.names)}"
-                )
-            if oracle_j != j:
-                mismatches.append(
-                    f"join([{i}],[{j_}]) = {format_mask(j, instance.names)}"
-                    f" but the brute-force bound is"
-                    f" {None if oracle_j is None else format_mask(oracle_j, instance.names)}"
-                )
+            for op, got, bound in (("meet", m, brute_glb), ("join", j, brute_lub)):
+                expected = bound(catalog, a, b)
+                if expected != got:
+                    mismatches.append(
+                        f"{op}([{i}],[{j_}]) = {format_mask(got, instance.names)}"
+                        f" but the brute-force bound is"
+                        f" {None if expected is None else format_mask(expected, instance.names)}"
+                    )
     payload["meet"] = meets
     payload["join"] = joins
     payload["verified"] = not mismatches
@@ -390,23 +384,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_name_list(raw: str, instance: Instance, flag: str) -> int:
-    mask = 0
-    if raw.strip() == "":
-        return 0
-    for piece in raw.split(","):
-        name = piece.strip()
-        if name not in instance.names:
-            raise ParseError(f"unknown contract name {name!r}", flag)
-        mask |= 1 << instance.names.index(name)
-    return mask
+def _flag_mask(raw: str, instance: Instance, flag: str) -> int:
+    """The mask of a comma-separated name list given to ``flag``."""
+    names = [piece.strip() for piece in raw.split(",")] if raw.strip() else []
+    try:
+        return instance.mask_of_names(names)
+    except SpecError as e:
+        raise ParseError(str(e), flag) from None
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     loaded = load(args.file)
     instance = loaded.instance
     f = instance.side(args.side)
-    a = _parse_name_list(args.set_a, instance, "-A")
+    a = _flag_mask(args.set_a, instance, "-A")
     coherence = COHERENCE_CHECKED if _coherent_if_affordable(f) else COHERENCE_UNKNOWN
 
     if args.op == "closure":
@@ -424,16 +415,16 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     if args.set_b is None:
         raise ParseError(f"--op {args.op} needs -B", "-B")
-    b = _parse_name_list(args.set_b, instance, "-B")
+    b = _flag_mask(args.set_b, instance, "-B")
     if args.op == "prefers":
-        answer = prefers(f, a, b, coherence=coherence).holds
+        answer = prefers(f, a, b).holds
         lines = [
             f"side {args.side} reveals"
             f" {format_mask(a, instance.names)} at least as good as"
             f" {format_mask(b, instance.names)}: {'yes' if answer else 'no'}"
         ]
     else:
-        answer = indifferent(f, a, b, coherence=coherence)
+        answer = indifferent(f, a, b)
         lines = [
             f"side {args.side} reveals"
             f" {format_mask(a, instance.names)} equivalent to"

@@ -42,7 +42,7 @@ from . import limits
 from .choice import ChoiceFunction
 from .errors import DomainError, PreconditionError, SizeBoundError, SpecError
 from .preference import COHERENCE_UNKNOWN, closure
-from .sets import format_mask, full_mask, iter_submasks, mask_of, popcount, subset_names
+from .sets import format_mask, full_mask, iter_submasks, mask_of, subset_names
 
 MODE_SINGLETON = "singleton"
 MODE_FULL = "full"
@@ -151,7 +151,7 @@ class StabilityVerdict:
     @property
     def blocking_contract(self) -> int | None:
         """The blocking contract id when the witness is a singleton."""
-        if self.blocking_set is None or popcount(self.blocking_set) != 1:
+        if self.blocking_set is None or self.blocking_set.bit_count() != 1:
             return None
         return self.blocking_set.bit_length() - 1
 
@@ -291,7 +291,7 @@ def _singleton_stability(instance: Instance, subset: int) -> StabilityVerdict:
 
 
 def _full_stability(instance: Instance, subset: int, max_n: int | None) -> StabilityVerdict:
-    free = popcount(instance.universe & ~subset)
+    free = (instance.universe & ~subset).bit_count()
     limit = limits.exhaustive_bound() if max_n is None else max_n
     if free > limit:
         raise SizeBoundError(

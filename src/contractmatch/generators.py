@@ -22,7 +22,7 @@ from .choice import (
     TopOfOrder,
     UnionOfOrders,
 )
-from .engine import ContractLabel, Instance
+from .engine import ContractLabel, Instance, auto_names
 from .preference import COHERENCE_ASSERTED
 
 if TYPE_CHECKING:
@@ -110,7 +110,7 @@ def random_instance(
     f1, owner1 = random_side(rng, n, 1, min_agents, max_agents, kinds)
     f2, owner2 = random_side(rng, n, 2, min_agents, max_agents, kinds)
     return Instance(
-        names=tuple(f"x{i}" for i in range(n)),
+        names=auto_names(n),
         f1=f1,
         f2=f2,
         labels=tuple(map(ContractLabel, owner1, owner2)),

@@ -150,7 +150,7 @@ class _MarketContext:
     """Market data a producer/consumer spec needs: the grid plus the slice's tuples."""
 
     grid: tuple[int, ...]
-    templates: tuple[str, ...]
+    templates: set[str]
     slice_contracts: tuple[MarketContract, ...]
 
 
@@ -360,19 +360,20 @@ def parse_document(doc: Any) -> LoadedFile:
 
     raw_contracts = _expect_list(body.get("contracts"), "contracts")
     _expect(bool(raw_contracts), "need at least one contract", "contracts")
-    names: list[str] = []
+    index: dict[str, int] = {}
     for i, raw in enumerate(raw_contracts):
         name = _expect_str(raw, f"contracts[{i}]")
         _expect(bool(name), "contract names must be non-empty", f"contracts[{i}]")
-        _expect(name not in names, f"duplicate contract name {name!r}", f"contracts[{i}]")
-        names.append(name)
+        _expect(name not in index, f"duplicate contract name {name!r}", f"contracts[{i}]")
+        index[name] = i
+    names = list(index)
     n = len(names)
-    index = {name: i for i, name in enumerate(names)}
 
     # --- market section (parsed before choice blocks, which may need it) ---
     market_contracts: list[MarketContract] | None = None
     grid: tuple[int, ...] = ()
     templates: tuple[str, ...] = ()
+    known: set[str] = set()
     if "market" in body:
         from .market import MarketContract, MoneyEconomy
 
@@ -386,12 +387,14 @@ def parse_document(doc: Any) -> LoadedFile:
             "price grid must be non-empty and strictly increasing",
             "market.prices",
         )
+        level = {price: i for i, price in enumerate(grid)}
         raw_templates = _expect_list(market_body.get("templates"), "market.templates")
         templates = tuple(
             _expect_str(t, f"market.templates[{i}]") for i, t in enumerate(raw_templates)
         )
+        known = set(templates)
         _expect(
-            len(set(templates)) == len(templates) and all(templates),
+            len(known) == len(templates) and all(templates),
             "template names must be unique and non-empty",
             "market.templates",
         )
@@ -402,18 +405,17 @@ def parse_document(doc: Any) -> LoadedFile:
             _expect(cname in index, f"unknown contract name {cname!r}", loc)
             row = _expect_dict(raw, loc)
             template = _expect_str(row.get("template"), f"{loc}.template")
-            _expect(template in templates, f"unknown template {template!r}", f"{loc}.template")
+            _expect(template in known, f"unknown template {template!r}", f"{loc}.template")
             price_value = _expect_int(row.get("price"), f"{loc}.price")
-            _expect(
-                price_value in grid,
-                f"price {price_value} is not on the grid {list(grid)}",
-                f"{loc}.price",
-            )
+            if price_value not in level:
+                raise ParseError(
+                    f"price {price_value} is not on the grid {list(grid)}", f"{loc}.price"
+                )
             market_contracts[index[cname]] = MarketContract(
                 producer=_expect_str(row.get("producer"), f"{loc}.producer"),
                 consumer=_expect_str(row.get("consumer"), f"{loc}.consumer"),
                 template=template,
-                price=grid.index(price_value),
+                price=level[price_value],
             )
         for cname, mc in zip(names, market_contracts):
             _expect(mc is not None, f"no market tuple for contract {cname!r}", "market.tuples")
@@ -446,7 +448,7 @@ def parse_document(doc: Any) -> LoadedFile:
         block = _expect_dict(choice_body.get(f"side{side}"), loc)
         if "agents" in block:
             f, owner = _parse_agents_block(
-                block["agents"], names, index, loc, side, grid, templates, market_contracts
+                block["agents"], names, index, loc, side, grid, known, market_contracts
             )
             sides.append(f)
             owners.append(owner)
@@ -507,7 +509,7 @@ def _parse_agents_block(
     loc: str,
     side: int,
     grid: tuple[int, ...],
-    templates: tuple[str, ...],
+    templates: set[str],
     market_contracts: Sequence[MarketContract] | None,
 ) -> tuple[AggregateChoice, list[str]]:
     agents_body = _expect_dict(raw_agents, f"{loc}.agents")

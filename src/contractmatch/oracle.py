@@ -17,7 +17,7 @@ from . import limits
 from .choice import tabulate
 from .engine import Instance
 from .errors import PreconditionError, SizeBoundError
-from .preference import COHERENCE_UNKNOWN, prefers
+from .preference import prefers
 from .sets import full_mask
 
 
@@ -84,10 +84,7 @@ def enumerate_stable_agreements(
             found.append(subset)
 
     below = tuple(
-        tuple(
-            prefers(side1, bigger, smaller, COHERENCE_UNKNOWN).holds
-            for bigger in found
-        )
+        tuple(prefers(side1, bigger, smaller).holds for bigger in found)
         for smaller in found
     )
     return StableSetCatalog(n, tuple(found), below)

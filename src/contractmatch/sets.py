@@ -37,11 +37,6 @@ def ids_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    """Number of contracts in the subset."""
-    return mask.bit_count()
-
-
 def iter_submasks(mask: int) -> Iterator[int]:
     """Every subset of ``mask`` in increasing numeric order (0 and mask included)."""
     sub = 0

@@ -24,9 +24,7 @@ from contractmatch.choice import (
     _Ranking,
     _RankingChoice,
     _Top,
-    convolve_valuations,
     tabulate,
-    union_of_orders_choice,
     valuation_choice,
 )
 from contractmatch.errors import DomainError, SpecError
@@ -146,12 +144,6 @@ def test_union_of_orders_requires_total_orders():
         UnionOfOrders(2, ())
     with pytest.raises(SpecError, match="exactly once"):
         UnionOfOrders(3, ((0, 1),))
-
-
-def test_union_of_orders_helper():
-    f = union_of_orders_choice([[1, 0]], 2)
-    assert isinstance(f, UnionOfOrders)
-    assert f.choose_mask(0b11) == 0b10
 
 
 @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
@@ -537,24 +529,6 @@ def test_tabulate_roundtrip():
     t = tabulate(f)
     for m in all_masks(3):
         assert t.choose_mask(m) == f.choose_mask(m)
-
-
-def test_convolve_valuations_small():
-    # first: additive {0: 1, 1: 4}; second: additive {0: 3, 1: 2}.
-    first = [0, 1, 4, 5]
-    second = [0, 3, 2, 5]
-    out = convolve_valuations(first, second)
-    # Best split of {0}: give 0 to the second agent (3 > 1).
-    assert out[0b01] == 3
-    # Best split of {1}: give 1 to the first agent (4 > 2).
-    assert out[0b10] == 4
-    assert out[0b11] == 7
-    assert out[0] == 0
-
-
-def test_convolve_requires_common_universe():
-    with pytest.raises(SpecError, match="share one universe"):
-        convolve_valuations([0, 1], [0, 1, 2, 3])
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10_000))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from contractmatch.choice import Identity
 from contractmatch.cli import main
 from contractmatch.corpus import FIXTURE_DIR, fixture_path
+from contractmatch.engine import Instance, auto_names
 from contractmatch.errors import SizeBoundError
 from contractmatch.instancefile import load, save
 
@@ -343,17 +346,36 @@ def test_query_needs_b_for_prefers(capsys):
 
 
 def test_query_unknown_name(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "query",
-        str(fixture_path("no_stable_agreement")),
-        "--op",
-        "closure",
-        "-A",
-        "zz",
+    path = str(fixture_path("no_stable_agreement"))
+    code, _, err = run_cli(capsys, "query", path, "--op", "closure", "-A", "zz")
+    assert (code, err) == (2, "error: -A: unknown contract name 'zz'\n")
+    code, _, err = run_cli(capsys, "query", path, "--op", "prefers", "-A", "a", "-B", "b,,a")
+    assert (code, err) == (2, "error: -B: unknown contract name ''\n")
+
+
+def test_query_name_lists_are_stripped_and_may_be_empty(capsys):
+    path = str(fixture_path("no_stable_agreement"))
+    code, out, _ = run_cli(capsys, "query", path, "--op", "closure", "-A", "", "--json")
+    assert code == 0 and json.loads(out)["set"] == []
+    code, out, _ = run_cli(
+        capsys, "query", path, "--op", "indifferent", "-A", " b , a ", "-B", " ", "--json"
     )
-    assert code == 2
-    assert "unknown contract" in err
+    payload = json.loads(out)
+    assert code == 0 and (payload["set_a"], payload["set_b"]) == (["a", "b"], [])
+
+
+def test_query_on_every_name_of_a_large_file(tmp_path, capsys):
+    # Run in process: an -A argument this long exceeds Linux's 128 KiB limit
+    # on one argument of a child process.
+    names = auto_names(40_000)
+    path = tmp_path / "large.json"
+    save(path, Instance(names=names, f1=Identity(len(names)), f2=Identity(len(names))))
+    with deadline(10):
+        code, out, _ = run_cli(
+            capsys, "query", str(path), "--op", "closure", "-A", ",".join(names), "--json"
+        )
+    assert code == 0
+    assert json.loads(out)["result"] == sorted(names)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +556,16 @@ PUBLIC_NAMES = (
     "build_money_economy", "build_unit_demand_consumer", "check_coherent", "check_contraction",
     "check_irc", "check_money_monotone", "check_no_shortage", "check_path_independence",
     "check_substitutes", "check_two_prices", "classical_gale_shapley", "closure",
-    "convolve_valuations", "enumerate_stable_agreements", "indifferent", "is_agreement",
-    "is_stable_agreement", "is_stable_set", "join", "load", "meet", "parse_document", "prefers",
-    "run", "save", "tabulate", "to_document", "union_of_orders_choice", "valuation_choice",
+    "enumerate_stable_agreements", "indifferent", "is_agreement", "is_stable_agreement",
+    "is_stable_set", "join", "load", "meet", "parse_document", "prefers", "run", "save",
+    "tabulate", "to_document", "valuation_choice",
 )
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this tree's package."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
 
 # Run in a fresh interpreter: the modules loaded after each stage, then the
 # public names that fail to resolve.
@@ -580,7 +608,7 @@ def test_import_leaves_numpy_unloaded():
             sys.executable, "-c", _FOOTPRINT_PROBE,
             str(fixture_path("marriage_3x3")), json.dumps(PUBLIC_NAMES),
         ],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=_child_env(),
     ).stdout
     probe = json.loads(out)
     stages = probe["stages"]
@@ -621,7 +649,7 @@ def test_subcommands_in_a_cold_process_match_in_process_runs(fixture, capsys):
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "contractmatch.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
         )
         for argv in argvs
     ]

@@ -21,6 +21,8 @@ from contractmatch.instancefile import (
     to_document,
 )
 
+from conftest import deadline
+
 ALL_FIXTURES = sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
 
 
@@ -188,7 +190,9 @@ def test_fraction_strings_parse():
 
 
 def test_duplicate_contract_name():
-    assert "duplicate contract" in str(_error(_doc(contracts=["a", "a"])))
+    assert str(_error(_doc(contracts=["a", "b", "a"]))) == (
+        "contracts[2]: duplicate contract name 'a'"
+    )
 
 
 def test_unknown_name_in_order():
@@ -257,7 +261,7 @@ def test_market_price_must_be_on_grid():
     )
     err = _error(doc)
     assert err.location == "market.tuples.a.price"
-    assert "not on the grid" in str(err)
+    assert str(err) == "market.tuples.a.price: price 11 is not on the grid [10, 12]"
 
 
 def test_market_missing_tuple():
@@ -271,6 +275,35 @@ def test_market_missing_tuple():
         }
     )
     assert "no market tuple for contract 'b'" in str(_error(doc))
+
+
+def test_a_document_of_many_names_parses_in_linear_time():
+    names = [f"c{i}" for i in range(100_000)]
+    with deadline(10):
+        loaded = parse_document(_doc(contracts=names))
+    assert loaded.instance.names == tuple(names)
+
+
+def test_a_market_of_many_prices_and_templates_parses_in_linear_time():
+    n = 20_000
+    names = [f"c{i}" for i in range(n)]
+    templates = [f"t{i}" for i in range(n)]
+    tuples = {
+        name: {"producer": "p", "consumer": "c", "template": t, "price": 2 * (n - 1 - i)}
+        for i, (name, t) in enumerate(zip(names, templates))
+    }
+    consumer = {"variant": "unit_demand_consumer", "wtp": dict.fromkeys(templates, 2 * n)}
+    doc = _doc(
+        contracts=names,
+        market={"prices": list(range(0, 2 * n, 2)), "templates": templates, "tuples": tuples},
+        choice={
+            "side1": {"variant": "identity"},
+            "side2": {"agents": {"c": {"contracts": names, "choice": consumer}}},
+        },
+    )
+    with deadline(10):
+        loaded = parse_document(doc)
+    assert [c.price for c in loaded.economy.contracts] == list(range(n - 1, -1, -1))
 
 
 def test_producer_variant_needs_market_and_side():

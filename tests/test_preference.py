@@ -7,20 +7,12 @@ import random
 import numpy as np
 import pytest
 
-import contractmatch.preference as preference
 from contractmatch.aggregation import aggregate_side
 from contractmatch.choice import TableChoice
 from contractmatch.coherence import check_coherent
 from contractmatch.corpus import no_stable_agreement_instance
 from contractmatch.generators import random_instance
-from contractmatch.preference import (
-    COHERENCE_ASSERTED,
-    COHERENCE_CHECKED,
-    COHERENCE_UNKNOWN,
-    closure,
-    indifferent,
-    prefers,
-)
+from contractmatch.preference import closure, indifferent, prefers
 
 from contractmatch.sets import full_mask
 
@@ -38,15 +30,8 @@ def test_prefers_on_canonical_f2():
     verdict = prefers(f2, 0b10, 0b01)
     assert verdict.holds
     assert verdict.union_choice == 0b10
-    assert verdict.coherence == COHERENCE_UNKNOWN
     # ... but {a} does not absorb {b}.
     assert not prefers(f2, 0b01, 0b10).holds
-
-
-def test_verdict_carries_coherence_status():
-    f2 = no_stable_agreement_instance().f2
-    assert prefers(f2, 0b10, 0b01, COHERENCE_CHECKED).coherence == COHERENCE_CHECKED
-    assert prefers(f2, 0b10, 0b01, COHERENCE_ASSERTED).coherence == COHERENCE_ASSERTED
 
 
 def test_indifferent_is_choice_equality():
@@ -178,29 +163,3 @@ def test_closure_matches_one_choice_per_outside_contract():
     for f in functions:
         for subset in all_masks(f.n):
             assert closure(f, subset) == _closure_by_single_offers(f, subset), (f, subset)
-
-
-# ---------------------------------------------------------------------------
-# Debug cross-checking
-# ---------------------------------------------------------------------------
-
-
-def test_debug_equivalence_silent_on_coherent(monkeypatch):
-    monkeypatch.setattr(preference, "DEBUG_EQUIVALENCE", True)
-    f = random_coherent_function(11, 4)
-    for a in all_masks(4):
-        for b in all_masks(4):
-            prefers(f, a, b)
-            indifferent(f, a, b)
-
-
-def test_debug_equivalence_raises_on_incoherent(monkeypatch):
-    monkeypatch.setattr(preference, "DEBUG_EQUIVALENCE", True)
-    # f({a,b}) = {} is contained in f({a}) = {a} but differs from it.
-    f = TableChoice(2, (0b00, 0b01, 0b10, 0b00))
-    with pytest.raises(RuntimeError, match="not coherent"):
-        prefers(f, 0b01, 0b10)
-
-
-def test_debug_off_by_default():
-    assert preference.DEBUG_EQUIVALENCE is False

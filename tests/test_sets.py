@@ -12,7 +12,6 @@ from contractmatch.sets import (
     ids_of,
     iter_submasks,
     mask_of,
-    popcount,
     subset_names,
 )
 
@@ -38,11 +37,6 @@ def test_ids_of_ascending():
         ids_of(-1)
 
 
-def test_popcount():
-    assert popcount(0) == 0
-    assert popcount(0b1011) == 3
-
-
 def test_iter_submasks_exact():
     assert list(iter_submasks(0)) == [0]
     assert list(iter_submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
@@ -52,7 +46,7 @@ def test_iter_submasks_exact():
 def test_iter_submasks_complete_and_ascending(mask):
     subs = list(iter_submasks(mask))
     assert subs == sorted(subs)
-    assert len(subs) == 1 << popcount(mask)
+    assert len(subs) == 1 << mask.bit_count()
     assert all(sub & ~mask == 0 for sub in subs)
     assert subs[0] == 0 and subs[-1] == mask
 
