@@ -168,8 +168,9 @@ class _Ranking:
     ignores_rejected = True
 
     def __init__(self, orders: Sequence[Sequence[int]], quota: int, piece: int):
-        # Each order as its (top mask, tail).
-        self.splits = tuple((mask_of(order[:quota]), order[quota:]) for order in orders)
+        # Each order as its (top mask, tail), from a list: see
+        # AggregateChoice.__post_init__.
+        self.splits = tuple([(mask_of(order[:quota]), order[quota:]) for order in orders])
         self.quota, self.piece = quota, piece
 
     def _choose(self, subset: int) -> int:
@@ -307,7 +308,8 @@ class _RankingChoice(ChoiceFunction):
         if quota == 1 and len(orders) == 1 and orders[0]:
             order = orders[0]
             return _Top(1 << ids[order[0]], array(code, [ids[c] for c in order[1:]]), piece)
-        global_orders = tuple(array(code, [ids[c] for c in order]) for order in orders)
+        # From a list: see AggregateChoice.__post_init__.
+        global_orders = tuple([array(code, [ids[c] for c in order]) for order in orders])
         return _Ranking(global_orders, quota, piece)
 
 

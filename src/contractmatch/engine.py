@@ -56,14 +56,52 @@ class ContractLabel:
     side2: str
 
 
+def _owners(f1: ChoiceFunction, f2: ChoiceFunction) -> tuple[tuple[str, ...], ...] | None:
+    """Each contract's owner on each side, when both sides are aggregates."""
+    from .aggregation import AggregateChoice  # aggregation imports this module
+
+    if isinstance(f1, AggregateChoice) and isinstance(f2, AggregateChoice):
+        return f1.owners(), f2.owners()
+    return None
+
+
+class _Labels:
+    """The ``labels`` field of :class:`Instance`, stored as ``_labels``.
+
+    Labels given to the constructor are stored and read back as they are.
+    Without them, reading the field builds the labels from the owners of
+    two aggregate sides (``None`` otherwise), so an instance records each
+    contract's two parties once, in its sides' partitions.
+    """
+
+    def __get__(self, instance: Instance | None, owner: type) -> tuple[ContractLabel, ...] | None:
+        if instance is None:
+            return None  # the field's default
+        labels = instance.__dict__["_labels"]
+        if labels is None:
+            owners = _owners(instance.f1, instance.f2)
+            if owners is not None:
+                labels = tuple(map(ContractLabel, *owners))
+        return labels
+
+    def __set__(self, instance: Instance, labels: tuple[ContractLabel, ...] | None) -> None:
+        instance.__dict__["_labels"] = labels
+
+
 @dataclass(frozen=True)
 class Instance:
-    """A two-sided agreement problem over a shared contract universe."""
+    """A two-sided agreement problem over a shared contract universe.
+
+    ``labels`` names each contract's (side-1, side-2) agents.  When both
+    sides are :class:`~contractmatch.aggregation.AggregateChoice`, labels
+    left out are read from the sides' owners, and labels given must agree
+    with them.  Given or read, they compare, hash, print and pickle alike.
+    """
 
     names: tuple[str, ...]
     f1: ChoiceFunction
     f2: ChoiceFunction
-    labels: tuple[ContractLabel, ...] | None = None
+    labels: _Labels = _Labels()
     coherence: str = COHERENCE_UNKNOWN
 
     def __post_init__(self) -> None:
@@ -75,8 +113,19 @@ class Instance:
                 raise SpecError(
                     f"side-{side} function covers {f.n} contracts, universe has {n}"
                 )
-        if self.labels is not None and len(self.labels) != n:
+        labels = self.__dict__["_labels"]
+        if labels is None:
+            return
+        if len(labels) != n:
             raise SpecError("labels must cover every contract exactly once")
+        owners = _owners(self.f1, self.f2)
+        if owners is not None:
+            for name, label, side1, side2 in zip(self.names, labels, *owners):
+                if (label.side1, label.side2) != (side1, side2):
+                    raise SpecError(
+                        f"contract {name!r}: label ({label.side1}, {label.side2})"
+                        f" disagrees with its owners ({side1}, {side2})"
+                    )
 
     @property
     def n(self) -> int:

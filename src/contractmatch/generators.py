@@ -22,7 +22,7 @@ from .choice import (
     TopOfOrder,
     UnionOfOrders,
 )
-from .engine import ContractLabel, Instance, auto_names
+from .engine import Instance, auto_names
 from .preference import COHERENCE_ASSERTED
 
 if TYPE_CHECKING:
@@ -58,7 +58,8 @@ def random_agent_spec(
     if kind == "responsive_quota":
         return ResponsiveQuota(k, random_order(rng, k), rng.randint(0, k))
     count = rng.randint(1, 3)
-    return UnionOfOrders(k, tuple(random_order(rng, k) for _ in range(count)))
+    # From a list: see AggregateChoice.__post_init__.
+    return UnionOfOrders(k, tuple([random_order(rng, k) for _ in range(count)]))
 
 
 def random_partition(rng: random.Random, n: int, parts: int) -> list[list[int]]:
@@ -83,8 +84,8 @@ def random_side(
     min_agents: int = 1,
     max_agents: int = 3,
     kinds: Sequence[str] = AGENT_SPEC_KINDS,
-) -> tuple[ChoiceFunction, list[str]]:
-    """A coherent aggregate side plus the owner name of each contract."""
+) -> ChoiceFunction:
+    """A coherent aggregate side of ``n`` contracts."""
     agents = rng.randint(min_agents, min(max_agents, n))
     slices = random_partition(rng, n, agents)
     prefix = "p" if side == 1 else "c"
@@ -95,7 +96,7 @@ def random_side(
         specs[name] = random_agent_spec(rng, len(slice_ids), kinds)
         for cid in slice_ids:
             owner[cid] = name
-    return aggregate_side(specs, owner), owner
+    return aggregate_side(specs, owner)
 
 
 def random_instance(
@@ -107,15 +108,9 @@ def random_instance(
 ) -> Instance:
     """A coherent two-sided instance with multi-agent aggregate sides."""
     rng = _rng(seed_or_rng)
-    f1, owner1 = random_side(rng, n, 1, min_agents, max_agents, kinds)
-    f2, owner2 = random_side(rng, n, 2, min_agents, max_agents, kinds)
-    return Instance(
-        names=auto_names(n),
-        f1=f1,
-        f2=f2,
-        labels=tuple(map(ContractLabel, owner1, owner2)),
-        coherence=COHERENCE_ASSERTED,
-    )
+    f1 = random_side(rng, n, 1, min_agents, max_agents, kinds)
+    f2 = random_side(rng, n, 2, min_agents, max_agents, kinds)
+    return Instance(names=auto_names(n), f1=f1, f2=f2, coherence=COHERENCE_ASSERTED)
 
 
 def random_marriage_profile(

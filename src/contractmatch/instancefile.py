@@ -481,11 +481,10 @@ def parse_document(doc: Any) -> LoadedFile:
                 )
         final_owner[side - 1] = present[0][0] if present else None
 
+    # Two agent blocks record the labels themselves (Instance reads them back).
     labels = None
-    if final_owner[0] is not None and final_owner[1] is not None:
-        labels = tuple(
-            ContractLabel(a, b) for a, b in zip(final_owner[0], final_owner[1])
-        )
+    if None in owners and None not in final_owner:
+        labels = tuple(map(ContractLabel, *final_owner))
 
     instance = Instance(names=tuple(names), f1=sides[0], f2=sides[1], labels=labels)
 

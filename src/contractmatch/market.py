@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from . import limits
 from .aggregation import aggregate_side
 from .choice import ChoiceFunction, _lift, _Ranking, _RankingChoice, _Slice, _Top
-from .engine import ContractLabel, Instance
+from .engine import Instance
 from .errors import SizeBoundError, SpecError
 from .preference import COHERENCE_ASSERTED
 from .sets import format_mask, ids_of, iter_submasks, mask_of
@@ -477,7 +477,6 @@ def build_money_economy(
         names=tuple(names),
         f1=aggregate_side(producer_specs, [c.producer for c in contracts]),
         f2=aggregate_side(consumer_specs, [c.consumer for c in contracts]),
-        labels=tuple(ContractLabel(c.producer, c.consumer) for c in contracts),
         coherence=COHERENCE_ASSERTED,
     )
     return MoneyEconomy(

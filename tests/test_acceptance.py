@@ -393,10 +393,10 @@ def lemma_corpus() -> tuple[tuple[str, ChoiceFunction, int], ...]:
             values = random_valuation(seed, n, family)
             functions.append((f"{family}/n{n}", valuation_choice(values), n))
     functions.append(
-        ("aggregate/n7", random_side(random.Random(9), 7, 1)[0], 7)
+        ("aggregate/n7", random_side(random.Random(9), 7, 1), 7)
     )
     functions.append(
-        ("aggregate/n8", random_side(random.Random(11), 8, 2, min_agents=2)[0], 8)
+        ("aggregate/n8", random_side(random.Random(11), 8, 2, min_agents=2), 8)
     )
     return tuple(functions)
 
@@ -450,7 +450,7 @@ def test_criterion_7_aggregation_coherence(acceptance):
         rng = random.Random(7000 + seed)
         n = rng.randint(2, 10)
         side = rng.choice((1, 2))
-        f, _ = random_side(rng, n, side, min_agents=2, max_agents=4)
+        f = random_side(rng, n, side, min_agents=2, max_agents=4)
         assert len(f.parts) >= 2
         report = check_coherent(f)
         if not report.coherent:

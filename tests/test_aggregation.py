@@ -70,6 +70,30 @@ def test_part_validation():
         AggregatePart("a", TopOfOrder(2, (0,)), (0, 1))
 
 
+def test_evenly_spaced_ids_are_held_as_a_range():
+    strided = AggregatePart("a", Identity(3), (3, 5, 7))
+    assert strided.contract_ids == range(3, 8, 2)
+    assert strided == AggregatePart("a", Identity(3), range(3, 8, 2))
+    assert hash(strided) == hash(AggregatePart("a", Identity(3), range(3, 8, 2)))
+    assert AggregatePart("a", Identity(1), (4,)).contract_ids == range(4, 5)
+    uneven = AggregatePart("a", Identity(3), (3, 5, 8))
+    assert uneven.contract_ids == (3, 5, 8) and type(uneven.contract_ids) is tuple
+
+
+def test_given_labels_must_agree_with_the_owners():
+    inst = build_marriage_instance([[0, 1], [1, 0]], [[1, 0], [0, 1]])
+    labels = list(inst.labels)
+    assert Instance(inst.names, inst.f1, inst.f2, tuple(labels)).labels == inst.labels
+    labels[0] = ContractLabel("m1", "w2")
+    with pytest.raises(SpecError) as raised:
+        Instance(inst.names, inst.f1, inst.f2, tuple(labels))
+    assert str(raised.value) == "contract 'm1_w1': label (m1, w2) disagrees with its owners (m1, w1)"
+    # Labels of sides that are not both aggregates are taken as given.
+    mixed = Instance(inst.names, inst.f1, Identity(4), tuple(labels))
+    assert mixed.labels == tuple(labels)
+    assert Instance(inst.names, inst.f1, Identity(4)).labels is None
+
+
 def test_aggregate_requires_partition():
     for ids, bad in (((-1, 0), -1), ((0, 3), 3)):
         with pytest.raises(SpecError, match=f"contract {bad} outside the universe"):

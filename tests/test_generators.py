@@ -64,14 +64,45 @@ def test_benchmark_inputs_are_pinned(workload, seed, size):
 # ---------------------------------------------------------------------------
 
 
-def test_marriage_owners_share_each_contract_id():
-    k = 20  # ids above 256, which the interpreter does not cache
-    instance = build_marriage_instance(*random_marriage_profile(3, k, k))
+def test_marriage_parts_hold_their_contract_ids_as_ranges():
+    k, m = 5, 3
+    instance = build_marriage_instance(*random_marriage_profile(3, k, m))
     men = {part.agent: part.contract_ids for part in instance.f1.parts}
     women = {part.agent: part.contract_ids for part in instance.f2.parts}
+    assert all(type(ids) is range for ids in (*men.values(), *women.values()))
     for i in range(k):
-        for j in range(k):
-            assert men[f"m{i + 1}"][j] is women[f"w{j + 1}"][i]
+        assert men[f"m{i + 1}"] == range(i * m, (i + 1) * m)
+    for j in range(m):
+        assert women[f"w{j + 1}"] == range(j, k * m, m)
+
+
+def _built_instances():
+    """A marriage, a bulk and a money-economy instance, as built."""
+    return (
+        build_marriage_instance(*random_marriage_profile(6, 4, 5)),
+        random_instance(6, 30, 2, 5),
+        random_money_economy(6).instance,
+    )
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_built_instances_read_their_labels_from_the_sides(which):
+    built = _built_instances()[which]
+    assert built.__dict__["_labels"] is None
+    labels = built.labels
+    assert len(labels) == built.n
+    owners = (built.f1.owners(), built.f2.owners())
+    assert [(lab.side1, lab.side2) for lab in labels] == list(zip(*owners))
+    given = dataclasses.replace(built, labels=labels)
+    assert given.__dict__["_labels"] is labels
+    assert given.labels == built.labels and given == built and built == given
+    assert hash(given) == hash(built) and repr(given) == repr(built)
+    assert to_document(given) == to_document(built)
+    for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert copied.__dict__["_labels"] is None and copied == given
+        assert repr(copied) == repr(given) and hash(copied) == hash(given)
+    replaced = dataclasses.replace(built)
+    assert replaced == given and repr(replaced) == repr(given)
 
 
 def _names(instance) -> list[str]:
@@ -135,11 +166,12 @@ def test_slotted_records_copy_pickle_and_replace():
     assert price.tuple_key()[:3] == economy.contracts[0].tuple_key()[:3]
 
 
-def test_footprint_script_reports_a_marriage_cycle():
+def _retained(workload: str) -> int:
+    """The bytes ``scripts/footprint.py`` reports for a seed-1 cycle."""
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, str(root / "scripts" / "footprint.py"),
-         "--workload", "marriage", "--seed", "1"],
+         "--workload", workload, "--seed", "1"],
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout.splitlines()
     assert len(out) > 1
@@ -147,3 +179,14 @@ def test_footprint_script_reports_a_marriage_cycle():
         assert re.fullmatch(r" *\d+ B +-?\d+ blocks  \S+:\d+", line), line
     retained = re.fullmatch(r"retained (\d+) bytes in [1-9][0-9]* inputs", out[-1])
     assert retained and int(retained[1]) > 0, out[-1]
+    return int(retained[1])
+
+
+# Instances keep no per-contract label or id object (2 306 750 and 1 133 802
+# bytes when the bounds were set, against 4 107 150 and 1 497 246 with them).
+def test_footprint_script_reports_a_marriage_cycle():
+    assert _retained("marriage") <= 2_600_000
+
+
+def test_footprint_script_reports_a_bulk_cycle():
+    assert _retained("bulk") <= 1_250_000
