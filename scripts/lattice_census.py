@@ -16,8 +16,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from contractmatch.aggregation import build_marriage_instance
 from contractmatch.engine import join, meet

@@ -28,7 +28,12 @@ so that loss cannot change its choice (``ignores_rejected`` in
 :mod:`contractmatch.choice`).  Tables, valuations and other evaluators are
 re-evaluated on any change.  The side keeps one complement mask per agent
 (the universe minus its slice), so each agent touched costs a constant
-number of full-width mask operations.
+number of full-width mask operations.  A side whose agents are all ``_Top``
+(``_all_top``, decided when it is built) can also run deferred acceptance
+against another such side in :meth:`AggregateChoice.cursor_rounds`, keeping
+each proposer's place in its order and each receiver's held contract for
+the run; :func:`~contractmatch.engine.run` takes it for every marriage
+market and for no side with any other kind of agent.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .choice import ChoiceFunction, TopOfOrder
+from .choice import ChoiceFunction, TopOfOrder, _Top
 from .engine import Instance
 from .errors import DomainError, SpecError
 from .preference import COHERENCE_ASSERTED
@@ -81,7 +86,9 @@ class AggregateChoice(ChoiceFunction):
     """Union of per-agent choices over a partition of the universe.
 
     Evaluation is label-local: an agent's contribution depends only on the
-    menu's intersection with its slice.
+    menu's intersection with its slice.  When every agent is a ``_Top`` (a
+    Gale-Shapley agent), ``_all_top`` is set, and a run between two such
+    sides takes :meth:`cursor_rounds` after its first round.
     """
 
     n: int
@@ -128,6 +135,8 @@ class AggregateChoice(ChoiceFunction):
         object.__setattr__(self, "_owner", array(code, owner))
         object.__setattr__(self, "_rest", tuple([universe ^ piece for piece in slices]))
         object.__setattr__(self, "_unsure", unsure)
+        # Two sides of Gale-Shapley agents run rounds 1.. in cursor_rounds.
+        object.__setattr__(self, "_all_top", all(type(agent) is _Top for agent in agents))
         object.__setattr__(self, "_agents", agents)
 
     def owners(self) -> tuple[str, ...]:
@@ -167,6 +176,88 @@ class AggregateChoice(ChoiceFunction):
             changed &= rest[p]
             chosen = chosen & rest[p] | agents[p]._choose(subset)
         return chosen
+
+    def cursor_rounds(
+        self, receiver: AggregateChoice, pool: int, offer: int, keep: int
+    ) -> tuple[list[int], list[int], list[int]]:
+        """Rounds 1.. of deferred acceptance, this side proposing to
+        ``receiver``, both sides made only of ``_Top`` agents (``_all_top``).
+
+        Round 0 (``pool``, its ``offer`` and the ``keep`` chosen from it) is
+        given; returns every round's pool, offer and accepted set, round 0
+        first, as ``engine.run``'s generic rounds would.  Each agent's
+        ``piece`` is exactly its order, so a proposer's offer is the first
+        entry of its order still in the pool, and a receiver keeps the best
+        offer of its piece.  A rejected proposer resumes after its refused
+        contract (found once, by ``tail.index``), so each of its order
+        entries is read at most once per run.  A receiver holds one contract
+        and compares a new offer with it along its order; an offer outside
+        its piece is refused.  A ``_Top`` receiver keeps only offered
+        contracts, so pools only shrink, and the run ends at the first round
+        that rejects nothing.
+        """
+        p_owner, p_agents = self._owner, self._agents
+        r_owner, r_agents = receiver._owner, receiver._agents
+        pools, offers, accepted = [pool], [offer], [keep]
+        held = [-1] * len(r_agents)  # each receiver's held contract
+        rejected = offer ^ keep  # a _Top receiver keeps only offers
+        refused = []
+        while keep:
+            c = keep.bit_length() - 1
+            held[r_owner[c]] = c
+            keep ^= 1 << c
+        left = rejected
+        while left:
+            c = left.bit_length() - 1
+            refused.append(c)
+            left ^= 1 << c
+        cursor = [-1] * len(p_agents)  # where each proposer resumes in its tail; -1: not yet found
+        while refused:
+            pool ^= rejected
+            offer ^= rejected
+            rejected, losers = 0, []
+            for c in refused:
+                a = p_owner[c]
+                tail, i = p_agents[a].tail, cursor[a]
+                if i < 0:
+                    i = 0 if p_agents[a].top >> c & 1 else tail.index(c) + 1
+                while i < len(tail):
+                    d = tail[i]
+                    i += 1
+                    if pool >> d & 1:
+                        break
+                else:
+                    cursor[a] = i
+                    continue
+                cursor[a] = i
+                bit = 1 << d
+                offer |= bit
+                b = r_owner[d]
+                agent, h = r_agents[b], held[b]
+                if not agent.piece & bit:
+                    loser = d
+                elif h < 0:
+                    held[b] = d
+                    continue
+                elif agent.top >> h & 1:
+                    loser = d
+                elif agent.top & bit:
+                    held[b], loser = d, h
+                else:
+                    for x in agent.tail:
+                        if x == d:
+                            held[b], loser = d, h
+                            break
+                        if x == h:
+                            loser = d
+                            break
+                rejected |= 1 << loser
+                losers.append(loser)
+            pools.append(pool)
+            offers.append(offer)
+            accepted.append(offer ^ rejected)
+            refused = losers
+        return pools, offers, accepted
 
 
 def aggregate_side(

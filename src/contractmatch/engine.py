@@ -27,6 +27,13 @@ final offer already, and asks the proposer through ``rechoose`` from the
 last pool, whose choice that offer is: ranking and filter proposers, which
 only lost contracts they rejected, are not evaluated again.
 
+When both sides are aggregates of Gale-Shapley agents only (every agent is
+the one-order, quota-1 ranking evaluator, as in every marriage market),
+rounds 1.. run in :meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds`
+instead, with each proposer's place in its order and each receiver's held
+contract kept for the run.  The choice is made from the sides themselves,
+not by an option; it gives the same trace, and the verdicts are shared.
+
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest
 lower / least upper bounds by re-running the iteration from a pool built
@@ -286,21 +293,24 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
     if z >> instance.n:
         raise DomainError(f"pool {z:#x} exceeds the {instance.n}-contract universe")
 
-    pools: dict[int, None] = {}  # in round order; no pool repeats
-    offers: list[int] = []
-    accepted: list[int] = []
     offer = propose.choose_mask(z)
     keep = other.choose_mask(offer)
-    while True:
-        pools[z] = None
-        offers.append(offer)
-        accepted.append(keep)
-        next_z = (z & ~offer) | keep
-        if next_z in pools:
-            break
-        next_offer = propose.rechoose(next_z, z, offer)
-        keep = other.rechoose(next_offer, offer, keep)
-        z, offer = next_z, next_offer
+    if getattr(propose, "_all_top", False) and getattr(other, "_all_top", False):
+        pools, offers, accepted = propose.cursor_rounds(other, z, offer, keep)
+        z, keep = pools[-1], accepted[-1]
+    else:
+        pools: dict[int, None] = {}  # in round order; no pool repeats
+        offers, accepted = [], []
+        while True:
+            pools[z] = None
+            offers.append(offer)
+            accepted.append(keep)
+            next_z = (z & ~offer) | keep
+            if next_z in pools:
+                break
+            next_offer = propose.rechoose(next_z, z, offer)
+            keep = other.rechoose(next_offer, offer, keep)
+            z, offer = next_z, next_offer
 
     # The last round already evaluated the receiving side on ``chosen``, and
     # ``chosen`` is the proposer's choice from ``z``: an aggregate proposer

@@ -11,7 +11,6 @@ use the conforming builders.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .aggregation import aggregate_side
@@ -26,6 +25,8 @@ from .engine import Instance, auto_names
 from .preference import COHERENCE_ASSERTED
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .market import MoneyEconomy
 
 VALUATION_FAMILIES = ("additive", "unit_demand", "assignment")
@@ -141,6 +142,8 @@ def random_valuation(
     items to a few weighted slots.  All three families induce coherent
     choice functions.
     """
+    from fractions import Fraction
+
     rng = _rng(seed_or_rng)
     size = 1 << n
     if family == "additive":

@@ -7,8 +7,24 @@ import random
 
 import pytest
 
-from contractmatch.aggregation import AggregateChoice, AggregatePart, build_marriage_instance
-from contractmatch.choice import ChoiceFunction, Identity, TableChoice, TopOfOrder, _Ranking, _Top
+from contractmatch.aggregation import (
+    AggregateChoice,
+    AggregatePart,
+    aggregate_side,
+    build_marriage_instance,
+)
+from contractmatch.choice import (
+    ChoiceFunction,
+    Identity,
+    ResponsiveQuota,
+    TableChoice,
+    TopOfOrder,
+    _Mapped,
+    _Ranking,
+    _Slice,
+    _Top,
+    tabulate,
+)
 from contractmatch.corpus import (
     FIXTURE_DIR,
     marriage_1x1,
@@ -39,6 +55,7 @@ from contractmatch.errors import (
 )
 from contractmatch.generators import random_instance, random_marriage_profile
 from contractmatch.instancefile import load
+from contractmatch.market import MarketContract, build_unit_demand_consumer
 from contractmatch.oracle import brute_glb, brute_lub, enumerate_stable_agreements
 from contractmatch.preference import closure, prefers
 from contractmatch.sets import mask_of
@@ -628,6 +645,152 @@ def test_wrapped_agents_and_sides_give_the_same_runs():
         wrapped = dataclasses.replace(inst, f1=_wrapped(inst.f1), f2=_wrapped(inst.f2))
         for proposer in (1, 2):
             assert run(wrapped, proposer) == run(inst, proposer)
+
+
+# ---------------------------------------------------------------------------
+# The cursor rounds of two sides of Gale-Shapley agents
+# ---------------------------------------------------------------------------
+
+
+def _generic(inst: Instance) -> Instance:
+    """``inst`` with both sides wrapped, so ``run`` takes the generic rounds."""
+    return dataclasses.replace(inst, f1=ChooseMaskOnly(inst.f1), f2=ChooseMaskOnly(inst.f2))
+
+
+def _unit_demand_market(rng: random.Random) -> Instance:
+    """Producers ranking their contracts, consumers of one template who keep
+    the cheapest affordable one.  Every consumer has an affordable and an
+    unaffordable contract, so each consumer's ``piece`` is smaller than its
+    slice, and both sides are made of ``_Top`` agents."""
+    producers = [f"p{i}" for i in range(rng.randint(1, 5))]
+    consumers = [f"c{j}" for j in range(rng.randint(1, 5))]
+    grid, willingness = (1, 2, 3, 4, 5), {"t": 3}
+    contracts = [
+        MarketContract(p, c, "t", rng.randrange(len(grid)))
+        for p in producers
+        for c in consumers
+        for _ in range(rng.randint(1, 3))
+    ]
+    for c in consumers:  # one affordable, one unaffordable contract
+        contracts.append(MarketContract(rng.choice(producers), c, "t", 0))
+        contracts.append(MarketContract(rng.choice(producers), c, "t", len(grid) - 1))
+    rng.shuffle(contracts)
+    mine = {
+        a: [x for x in contracts if a in (x.producer, x.consumer)] for a in producers + consumers
+    }
+    f1 = aggregate_side(
+        {p: TopOfOrder(len(mine[p]), tuple(rng.sample(range(len(mine[p])), len(mine[p]))))
+         for p in producers},
+        [x.producer for x in contracts],
+    )
+    f2 = aggregate_side(
+        {c: build_unit_demand_consumer(mine[c], grid, willingness) for c in consumers},
+        [x.consumer for x in contracts],
+    )
+    return Instance(auto_names(len(contracts)), f1, f2)
+
+
+def _cursor_cases():
+    """Seeded instances whose two sides take the cursor rounds: square and
+    rectangular marriage markets, and unit-demand markets."""
+    rng = random.Random(15)
+    for k in (*range(1, 10), 16, 32):
+        for m in {k, rng.randint(1, 12)}:
+            for seed in range(6 if k < 16 else 2):
+                yield build_marriage_instance(*random_marriage_profile(seed + 100 * k, k, m))
+    for _ in range(300):
+        yield _unit_demand_market(rng)
+
+
+def test_cursor_rounds_give_the_generic_runs():
+    """Two sides of ``_Top`` agents run rounds 1.. in ``cursor_rounds``; the
+    generic rounds, reached by wrapping the sides, give the same outcome,
+    trace and verdicts, from the universe and from random pools."""
+    rng = random.Random(7)
+    for inst in _cursor_cases():
+        assert inst.f1._all_top and inst.f2._all_top
+        generic = _generic(inst)
+        for proposer in (1, 2):
+            for pool in (None, rng.getrandbits(inst.n), rng.getrandbits(inst.n)):
+                assert repr(run(inst, proposer, pool)) == repr(run(generic, proposer, pool))
+
+
+def test_cursor_rounds_are_taken_by_two_sides_of_top_agents_only(monkeypatch):
+    """A side qualifies when every agent is exactly a ``_Top``: one
+    ``_Ranking``, ``_Slice`` or ``_Mapped`` agent, or a wrapped side, sends
+    the run through the generic rounds."""
+    calls = []
+    original = AggregateChoice.cursor_rounds
+
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(AggregateChoice, "cursor_rounds", counting)
+    inst = build_marriage_instance(*random_marriage_profile(3, 4, 4))
+    for proposer in (1, 2):
+        run(inst, proposer)
+        assert calls == [inst.side(proposer)]
+        calls.clear()
+    first = inst.f1.parts[0]
+    for spec, evaluator in (
+        (ResponsiveQuota(4, first.spec.order, 2), _Ranking),
+        (Identity(4), _Slice),
+        (tabulate(first.spec), _Mapped),
+    ):
+        parts = (dataclasses.replace(first, spec=spec), *inst.f1.parts[1:])
+        side = AggregateChoice(inst.n, parts)
+        assert type(side._agents[0]) is evaluator and not side._all_top
+        for proposer in (1, 2):
+            run(dataclasses.replace(inst, f1=side), proposer)
+    for proposer in (1, 2):
+        run(_generic(inst), proposer)
+        run(dataclasses.replace(inst, f2=ChooseMaskOnly(inst.f2)), proposer)
+    assert calls == []
+
+
+class ReadLog:
+    """An order tail that logs the positions read from it."""
+
+    def __init__(self, tail):
+        self.tail, self.reads = tail, []
+
+    def __len__(self) -> int:
+        return len(self.tail)
+
+    def __getitem__(self, i: int) -> int:
+        self.reads.append(i)
+        return self.tail[i]
+
+    def index(self, c: int) -> int:
+        i = self.tail.index(c)
+        self.reads.extend(range(i + 1))
+        return i
+
+
+def test_cursor_rounds_read_each_proposer_entry_at_most_once():
+    """A rejected proposer resumes after its refused contract: over a whole
+    run it reads each entry of its order at most once."""
+    rng = random.Random(5)
+    for inst in _cursor_cases():
+        for proposer in (1, 2):
+            for pool in (inst.universe, rng.getrandbits(inst.n)):
+                expected = run(inst, proposer, pool).trace
+                propose, other = inst.side(proposer), inst.side(3 - proposer)
+                offer = propose.choose_mask(pool)
+                keep = other.choose_mask(offer)
+                logs = [ReadLog(agent.tail) for agent in propose._agents]
+                for agent, log in zip(propose._agents, logs):
+                    agent.tail = log
+                try:
+                    rounds = propose.cursor_rounds(other, pool, offer, keep)
+                finally:
+                    for agent, log in zip(propose._agents, logs):
+                        agent.tail = log.tail
+                assert Trace(*map(tuple, rounds)) == expected
+                for log in logs:
+                    assert len(set(log.reads)) == len(log.reads)
+                    assert set(log.reads) <= set(range(len(log.tail)))
 
 
 def test_80x80_marriage_is_fast():

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from contractmatch.corpus import (
@@ -147,3 +152,19 @@ def test_gale_shapley_matches_engine_on_random_profiles():
 def test_gale_shapley_unbalanced():
     # Two men, one woman: she keeps her preferred proposer.
     assert classical_gale_shapley([[0], [0]], [[1, 0]]) == frozenset({(1, 0)})
+
+
+def test_lattice_census_script_runs_without_pythonpath(tmp_path):
+    """``scripts/lattice_census.py`` finds this tree's package by itself, run
+    from outside the checkout with no ``PYTHONPATH``."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "lattice_census.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(script), "--instances", "2", "--max-n", "4"],
+        capture_output=True, text=True, check=True, timeout=120, cwd=tmp_path, env=env,
+    ).stdout.splitlines()
+    assert out[0] == "instances surveyed: 2"
+    pairs = next(line for line in out if line.startswith("pairs checked: "))
+    total = pairs.rpartition(" ")[2]
+    assert f"meet == greatest lower bound: {total}/{total}" in "\n".join(out)
+    assert f"join == least upper bound:    {total}/{total}" in "\n".join(out)
