@@ -29,11 +29,13 @@ so that loss cannot change its choice (``ignores_rejected`` in
 re-evaluated on any change.  The side keeps one complement mask per agent
 (the universe minus its slice), so each agent touched costs a constant
 number of full-width mask operations.  A side whose agents are all ``_Top``
-(``_all_top``, decided when it is built) can also run deferred acceptance
-against another such side in :meth:`AggregateChoice.cursor_rounds`, keeping
-each proposer's place in its order and each receiver's held contract for
-the run; :func:`~contractmatch.engine.run` takes it for every marriage
-market and for no side with any other kind of agent.
+(``_all_top``, decided when it is built) also keeps each contract's rank in
+its owner's order (``_rank``), and can run deferred acceptance against
+another such side in :meth:`AggregateChoice.cursor_rounds`, rounds 0..
+included: each rejected proposer resumes after its refused contract, and
+each receiver compares a new offer with its held contract by rank.
+:func:`~contractmatch.engine.run` takes it for every marriage market and
+for no side with any other kind of agent.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ class AggregateChoice(ChoiceFunction):
 
     Evaluation is label-local: an agent's contribution depends only on the
     menu's intersection with its slice.  When every agent is a ``_Top`` (a
-    Gale-Shapley agent), ``_all_top`` is set, and a run between two such
-    sides takes :meth:`cursor_rounds` after its first round.
+    Gale-Shapley agent), ``_all_top`` is set, ``_rank`` gives each
+    contract's position in its owner's order (0 for the top, ``i + 1`` for
+    ``tail[i]``, ``n`` for a contract outside its owner's piece), and a run
+    between two such sides takes :meth:`cursor_rounds` from round 0.
     """
 
     n: int
@@ -135,8 +139,17 @@ class AggregateChoice(ChoiceFunction):
         object.__setattr__(self, "_owner", array(code, owner))
         object.__setattr__(self, "_rest", tuple([universe ^ piece for piece in slices]))
         object.__setattr__(self, "_unsure", unsure)
-        # Two sides of Gale-Shapley agents run rounds 1.. in cursor_rounds.
-        object.__setattr__(self, "_all_top", all(type(agent) is _Top for agent in agents))
+        # Two sides of Gale-Shapley agents run deferred acceptance in
+        # cursor_rounds, comparing contracts by their rank in _rank.
+        all_top = all(type(agent) is _Top for agent in agents)
+        object.__setattr__(self, "_all_top", all_top)
+        if all_top:
+            rank = [self.n] * self.n  # n: outside its owner's piece
+            for agent in agents:
+                rank[agent.top.bit_length() - 1] = 0
+                for i, c in enumerate(agent.tail, 1):
+                    rank[c] = i
+            object.__setattr__(self, "_rank", array("H" if self.n < 1 << 16 else "L", rank))
         object.__setattr__(self, "_agents", agents)
 
     def owners(self) -> tuple[str, ...]:
@@ -178,86 +191,69 @@ class AggregateChoice(ChoiceFunction):
         return chosen
 
     def cursor_rounds(
-        self, receiver: AggregateChoice, pool: int, offer: int, keep: int
+        self, receiver: AggregateChoice, pool: int
     ) -> tuple[list[int], list[int], list[int]]:
-        """Rounds 1.. of deferred acceptance, this side proposing to
-        ``receiver``, both sides made only of ``_Top`` agents (``_all_top``).
+        """Deferred acceptance from ``pool``, rounds 0.., this side
+        proposing to ``receiver``, both sides made only of ``_Top`` agents
+        (``_all_top``).
 
-        Round 0 (``pool``, its ``offer`` and the ``keep`` chosen from it) is
-        given; returns every round's pool, offer and accepted set, round 0
-        first, as ``engine.run``'s generic rounds would.  Each agent's
-        ``piece`` is exactly its order, so a proposer's offer is the first
-        entry of its order still in the pool, and a receiver keeps the best
-        offer of its piece.  A rejected proposer resumes after its refused
-        contract (found once, by ``tail.index``), so each of its order
-        entries is read at most once per run.  A receiver holds one contract
-        and compares a new offer with it along its order; an offer outside
-        its piece is refused.  A ``_Top`` receiver keeps only offered
-        contracts, so pools only shrink, and the run ends at the first round
-        that rejects nothing.
+        Returns every round's pool, offer and accepted set, round 0 first,
+        as ``engine.run``'s generic rounds would.  Each agent's ``piece`` is
+        exactly its order, so a proposer's offer is the first entry of its
+        order still in the pool, and a receiver keeps the best offer of its
+        piece.  In round 0 each proposer offers its first order entry in the
+        pool; a proposer refused ``c`` resumes at tail index ``_rank[c]``,
+        just after it, so each of its order entries is read at most once
+        per run.  A receiver holds one contract and keeps a new offer ``d``
+        when ``_rank[d]`` is below its held contract's rank, one comparison
+        per offer; an offer outside its piece ranks ``n`` and is refused.  A
+        ``_Top`` receiver keeps only offered contracts, so pools only
+        shrink, and the run ends at the first round that rejects nothing.
         """
-        p_owner, p_agents = self._owner, self._agents
-        r_owner, r_agents = receiver._owner, receiver._agents
-        pools, offers, accepted = [pool], [offer], [keep]
-        held = [-1] * len(r_agents)  # each receiver's held contract
-        rejected = offer ^ keep  # a _Top receiver keeps only offers
-        refused = []
-        while keep:
-            c = keep.bit_length() - 1
-            held[r_owner[c]] = c
-            keep ^= 1 << c
-        left = rejected
-        while left:
-            c = left.bit_length() - 1
-            refused.append(c)
-            left ^= 1 << c
-        cursor = [-1] * len(p_agents)  # where each proposer resumes in its tail; -1: not yet found
-        while refused:
-            pool ^= rejected
-            offer ^= rejected
-            rejected, losers = 0, []
-            for c in refused:
-                a = p_owner[c]
-                tail, i = p_agents[a].tail, cursor[a]
-                if i < 0:
-                    i = 0 if p_agents[a].top >> c & 1 else tail.index(c) + 1
-                while i < len(tail):
-                    d = tail[i]
-                    i += 1
-                    if pool >> d & 1:
-                        break
+        p_owner, p_agents, p_rank = self._owner, self._agents, self._rank
+        r_owner, r_rank = receiver._owner, receiver._rank
+        held = [-1] * len(receiver._agents)  # each receiver's held contract
+        best = [receiver.n] * len(receiver._agents)  # and its rank; n: none
+        pools, offers, accepted = [], [], []
+        offer = 0
+        sent = []  # the round's new offers
+        for agent in p_agents:
+            if pool & agent.top:
+                sent.append(agent.top.bit_length() - 1)
+                continue
+            for d in agent.tail:
+                if pool >> d & 1:
+                    sent.append(d)
+                    break
+        while True:
+            rejected, resent = 0, []
+            for d in sent:
+                offer |= 1 << d
+                b, r = r_owner[d], r_rank[d]
+                if r < best[b]:
+                    loser, held[b], best[b] = held[b], d, r
+                    if loser < 0:
+                        continue
                 else:
-                    cursor[a] = i
-                    continue
-                cursor[a] = i
-                bit = 1 << d
-                offer |= bit
-                b = r_owner[d]
-                agent, h = r_agents[b], held[b]
-                if not agent.piece & bit:
                     loser = d
-                elif h < 0:
-                    held[b] = d
-                    continue
-                elif agent.top >> h & 1:
-                    loser = d
-                elif agent.top & bit:
-                    held[b], loser = d, h
-                else:
-                    for x in agent.tail:
-                        if x == d:
-                            held[b], loser = d, h
-                            break
-                        if x == h:
-                            loser = d
-                            break
                 rejected |= 1 << loser
-                losers.append(loser)
+                # Its proposer's next offer: no later entry of its order is
+                # offered this round, so none leaves the pool with the loser.
+                tail, i = p_agents[p_owner[loser]].tail, p_rank[loser]
+                while i < len(tail):
+                    e = tail[i]
+                    if pool >> e & 1:
+                        resent.append(e)
+                        break
+                    i += 1
             pools.append(pool)
             offers.append(offer)
             accepted.append(offer ^ rejected)
-            refused = losers
-        return pools, offers, accepted
+            if not rejected:
+                return pools, offers, accepted
+            pool ^= rejected
+            offer ^= rejected
+            sent = resent
 
 
 def aggregate_side(

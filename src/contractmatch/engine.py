@@ -29,10 +29,12 @@ only lost contracts they rejected, are not evaluated again.
 
 When both sides are aggregates of Gale-Shapley agents only (every agent is
 the one-order, quota-1 ranking evaluator, as in every marriage market),
-rounds 1.. run in :meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds`
-instead, with each proposer's place in its order and each receiver's held
-contract kept for the run.  The choice is made from the sides themselves,
-not by an option; it gives the same trace, and the verdicts are shared.
+the whole run, round 0 included, goes to
+:meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds` instead:
+each proposer resumes its order after a refused contract, and each receiver
+compares a new offer with its held contract by their ranks in its order.
+The choice is made from the sides themselves, not by an option; it gives
+the same trace, and the verdicts are shared.
 
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest
@@ -293,12 +295,12 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
     if z >> instance.n:
         raise DomainError(f"pool {z:#x} exceeds the {instance.n}-contract universe")
 
-    offer = propose.choose_mask(z)
-    keep = other.choose_mask(offer)
     if getattr(propose, "_all_top", False) and getattr(other, "_all_top", False):
-        pools, offers, accepted = propose.cursor_rounds(other, z, offer, keep)
+        pools, offers, accepted = propose.cursor_rounds(other, z)
         z, keep = pools[-1], accepted[-1]
     else:
+        offer = propose.choose_mask(z)
+        keep = other.choose_mask(offer)
         pools: dict[int, None] = {}  # in round order; no pool repeats
         offers, accepted = [], []
         while True:

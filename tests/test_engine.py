@@ -56,9 +56,14 @@ from contractmatch.errors import (
 from contractmatch.generators import random_instance, random_marriage_profile
 from contractmatch.instancefile import load
 from contractmatch.market import MarketContract, build_unit_demand_consumer
-from contractmatch.oracle import brute_glb, brute_lub, enumerate_stable_agreements
+from contractmatch.oracle import (
+    brute_glb,
+    brute_lub,
+    classical_gale_shapley,
+    enumerate_stable_agreements,
+)
 from contractmatch.preference import closure, prefers
-from contractmatch.sets import mask_of
+from contractmatch.sets import ids_of, mask_of
 
 from conftest import all_masks, cycling_instance, deadline
 
@@ -549,21 +554,30 @@ def _count_ranking_calls(monkeypatch, method: str) -> list[int]:
 def test_agent_evaluations_follow_rejections(k, monkeypatch):
     """Per-agent evaluations in a k x k marriage run.
 
-    Round 0 evaluates every agent (2k).  A later round re-evaluates only the
-    proposers just rejected and the receivers whose offers changed; the
-    stability verdict evaluates at most the two owners of each outside
-    contract.  The whole-side loop paid 2k per round and per outside contract.
+    In the generic rounds, round 0 evaluates every agent (2k).  A later
+    round re-evaluates only the proposers just rejected and the receivers
+    whose offers changed; the stability verdict evaluates at most the two
+    owners of each outside contract.  The whole-side loop paid 2k per round
+    and per outside contract.
 
-    On the bare instance, whose agents are ranking evaluators, each rejection
-    makes at most one proposer and one receiver choose again (a receiver that
-    only lost the offer it rejected is skipped).  The agreement verdict
-    evaluates nobody: it reuses the receivers' last choice and asks the
-    proposers through ``rechoose`` from the last pool, which skips them all.
-    The verdict's ``kept_additions`` makes no ``_choose`` call.
+    The bare instance's agents are all Gale-Shapley agents, so its whole run
+    takes ``cursor_rounds``, which evaluates nobody.  The agreement verdict
+    reuses the receivers' last choice and asks the proposers through
+    ``rechoose`` from the last pool, which skips them all, and the verdict's
+    ``kept_additions`` makes no ``_choose`` call: no ``_choose`` call at all.
+    With one man's agent a quota-2 ranking instead, the run takes the
+    generic rounds, where each rejection makes at most one proposer and one
+    receiver choose again (a receiver that only lost the offer it rejected
+    is skipped).
     """
     calls = _count_ranking_calls(monkeypatch, "_choose")
     for seed in range(5):
         inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
+        first = inst.f1.parts[0]
+        quota2 = dataclasses.replace(first, spec=ResponsiveQuota(k, first.spec.order, 2))
+        mixed = dataclasses.replace(
+            inst, f1=AggregateChoice(inst.n, (quota2, *inst.f1.parts[1:]))
+        )
         for proposer in (1, 2):
             tally = [0]
             counted = dataclasses.replace(
@@ -575,6 +589,9 @@ def test_agent_evaluations_follow_rejections(k, monkeypatch):
             assert tally[0] <= 2 * k + 2 * rejections + 2 * outside
             calls[0] = 0
             assert run(inst, proposer) == result
+            assert calls[0] == 0
+            result = run(mixed, proposer)
+            rejections = inst.n - result.trace.final_pool.bit_count()
             assert 0 < calls[0] <= 2 * k + 2 * rejections
 
 
@@ -741,6 +758,7 @@ def test_cursor_rounds_are_taken_by_two_sides_of_top_agents_only(monkeypatch):
         parts = (dataclasses.replace(first, spec=spec), *inst.f1.parts[1:])
         side = AggregateChoice(inst.n, parts)
         assert type(side._agents[0]) is evaluator and not side._all_top
+        assert not hasattr(side, "_rank")
         for proposer in (1, 2):
             run(dataclasses.replace(inst, f1=side), proposer)
     for proposer in (1, 2):
@@ -762,28 +780,27 @@ class ReadLog:
         self.reads.append(i)
         return self.tail[i]
 
-    def index(self, c: int) -> int:
-        i = self.tail.index(c)
-        self.reads.extend(range(i + 1))
-        return i
+    def __iter__(self):
+        for i, c in enumerate(self.tail):
+            self.reads.append(i)
+            yield c
 
 
 def test_cursor_rounds_read_each_proposer_entry_at_most_once():
-    """A rejected proposer resumes after its refused contract: over a whole
-    run it reads each entry of its order at most once."""
+    """Round 0 walks each proposer's order from its start, and a rejected
+    proposer resumes after its refused contract: over a whole run, round 0
+    included, it reads each entry of its order at most once."""
     rng = random.Random(5)
     for inst in _cursor_cases():
         for proposer in (1, 2):
             for pool in (inst.universe, rng.getrandbits(inst.n)):
                 expected = run(inst, proposer, pool).trace
                 propose, other = inst.side(proposer), inst.side(3 - proposer)
-                offer = propose.choose_mask(pool)
-                keep = other.choose_mask(offer)
                 logs = [ReadLog(agent.tail) for agent in propose._agents]
                 for agent, log in zip(propose._agents, logs):
                     agent.tail = log
                 try:
-                    rounds = propose.cursor_rounds(other, pool, offer, keep)
+                    rounds = propose.cursor_rounds(other, pool)
                 finally:
                     for agent, log in zip(propose._agents, logs):
                         agent.tail = log.tail
@@ -791,6 +808,47 @@ def test_cursor_rounds_read_each_proposer_entry_at_most_once():
                 for log in logs:
                     assert len(set(log.reads)) == len(log.reads)
                     assert set(log.reads) <= set(range(len(log.tail)))
+
+
+def test_rank_is_each_contracts_place_in_its_owners_order():
+    """A side of ``_Top`` agents ranks each contract by its owner's order,
+    read from the agent's spec: 0 for the first entry, ``n`` exactly for
+    the contracts outside the owner's piece (a unit-demand consumer's
+    unaffordable ones)."""
+    outside = 0
+    for inst in _cursor_cases():
+        for side in (inst.f1, inst.f2):
+            expected = [side.n] * side.n
+            for part in side.parts:
+                (order,), _ = part.spec._orders_and_quota()
+                for place, c in enumerate(order):
+                    expected[part.contract_ids[c]] = place
+            assert list(side._rank) == expected
+            pieces = 0
+            for agent in side._agents:
+                pieces |= agent.piece
+            assert [g for g in range(side.n) if not pieces >> g & 1] == [
+                g for g in range(side.n) if side._rank[g] == side.n
+            ]
+            outside += expected.count(side.n)
+    assert outside
+
+
+def test_a_256x256_market_takes_the_wide_rank_array():
+    """65 536 contracts do not fit the narrow typecode with their sentinel
+    ``n``; the wide one holds it, and it is never a real rank.  Both runs
+    give classical Gale-Shapley's matchings."""
+    men, women = random_marriage_profile(3, 256, 256)
+    inst = build_marriage_instance(men, women)
+    for side in (inst.f1, inst.f2):
+        assert side._rank.typecode == "L"
+        assert max(side._rank) == 255 < side.n
+    for proposer, pairs in (
+        (1, classical_gale_shapley(men, women)),
+        (2, {(m, w) for w, m in classical_gale_shapley(women, men)}),
+    ):
+        chosen = run(inst, proposer).chosen
+        assert {divmod(g, 256) for g in ids_of(chosen)} == pairs
 
 
 def test_80x80_marriage_is_fast():
