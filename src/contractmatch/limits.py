@@ -14,7 +14,9 @@ Environment variables:
   stability).  Default 12.
 * ``CONTRACTMATCH_PAIRWISE_BOUND`` -- scans in the ``3**n`` / ``4**n`` class
   (substitutes, path independence, building a valuation argmax table).
-  Default 10.
+  Path independence is checked in ``(n + 1) * 2**n`` lookups, but stays
+  in this class because its violations are listed over all ``4**n``
+  pairs.  Default 10.
 * ``CONTRACTMATCH_ORACLE_BOUND`` -- the ``2**n`` stable-agreement catalog
   enumeration.  Default 16.
 """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -586,13 +587,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 stages["solve"] = loaded()
 from contractmatch.generators import random_instance
 stages["generators"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    validate_code = contractmatch.cli.main(["validate", sys.argv[1]])
+stages["validate"] = loaded()
 missing = []
 for name in json.loads(sys.argv[2]):
     try:
         getattr(contractmatch, name)
     except AttributeError:
         missing.append(name)
-print(json.dumps({"stages": stages, "code": code, "missing": missing,
+print(json.dumps({"stages": stages, "code": code, "validate_code": validate_code,
+                  "missing": missing,
                   "all": sorted(contractmatch.__all__), "dir": dir(contractmatch)}))
 """
 
@@ -602,7 +607,8 @@ def test_import_leaves_numpy_unloaded():
     CLI import no checker, ``solve`` no checker it does not run, and the
     instance generators no market code.  Only valuation and market code
     builds a ``Fraction``, so ``solve`` on a marriage market and the
-    generators' import leave ``fractions`` unloaded."""
+    generators' import leave ``fractions`` unloaded.  ``validate`` runs the
+    axiom scans, path independence included, without numpy."""
     out = subprocess.run(
         [
             sys.executable, "-c", _FOOTPRINT_PROBE,
@@ -620,9 +626,33 @@ def test_import_leaves_numpy_unloaded():
     assert not {"market", "oracle", "coherence", "numpy", "fractions"} & set(stages["solve"])
     assert "generators" in stages["generators"]
     assert not {"market", "fractions"} & set(stages["generators"])
+    assert probe["validate_code"] == 0
+    assert "coherence" in stages["validate"] and "numpy" not in stages["validate"]
     assert probe["missing"] == []
     assert probe["all"] == sorted(PUBLIC_NAMES)
     assert set(PUBLIC_NAMES) <= set(probe["dir"])
+
+
+def test_package_imports_only_the_standard_library():
+    """The package has no runtime dependency: every absolute import in
+    ``src/contractmatch`` names a standard-library module (relative imports
+    are the package's own)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "contractmatch"
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
 
 
 # One form per subcommand; each runs in a fresh interpreter, where a module

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contractmatch.choice import Identity, TableChoice, TopOfOrder, valuation_choice
+from contractmatch.choice import Identity, TableChoice, TopOfOrder, tabulate, valuation_choice
 from contractmatch.coherence import (
     AXIOM_PATH,
     AXIOM_SUBSTITUTES,
@@ -220,6 +220,52 @@ def test_coherence_equals_contraction_plus_path_independence(n, seed):
     assert report.cross_check_ok
     via_path = not report.contraction and not report.path_independence
     assert via_path == report.coherent
+
+
+def _path_pairs_brute(table: list[int]) -> list[tuple[int, int]]:
+    """Every pair (A, B) with f(A | B) != f(f(A) | B): b outer, a ascending."""
+    size = len(table)
+    return [
+        (a, b)
+        for b in range(size)
+        for a in range(size)
+        if table[a | b] != table[table[a] | b]
+    ]
+
+
+def _perturbed_coherent_table(rng: random.Random, n: int) -> list[int]:
+    table = list(tabulate(random_coherent_function(rng.randrange(10**6), n)).entries)
+    for _ in range(rng.randint(1, 2)):
+        m, pick = rng.randrange(len(table)), rng.randrange(len(table))
+        table[m] = pick & m if rng.random() < 0.7 else pick
+    return table
+
+
+def test_path_independence_equals_the_pairwise_enumeration():
+    """The check through idempotence and one-element additions lists exactly
+    the pairs of a full 4**n enumeration, in its order.  Arbitrary tables are
+    needed: under Contraction the one-element half alone implies
+    idempotence, and the table f(∅) = {a}, f({a}) = ∅ breaks only the
+    latter."""
+    rng = random.Random(17)
+    tables = [[0b1, 0b0]]
+    for i in range(900):
+        n = i % 6
+        kind = i // 6 % 3
+        if kind == 0:
+            tables.append([rng.randrange(1 << n) for _ in range(1 << n)])
+        elif kind == 1:
+            tables.append(list(random_contraction_table(rng, n)))
+        else:
+            tables.append(_perturbed_coherent_table(rng, max(n, 1)))
+    failing = 0
+    for table in tables:
+        f = TableChoice(len(table).bit_length() - 1, tuple(table))
+        expected = _path_pairs_brute(table)
+        got = [(v.set_a, v.set_b) for v in check_path_independence(f)]
+        assert got == expected, table
+        failing += bool(expected)
+    assert 0 < failing < len(tables)
 
 
 def test_second_coherence_route_product_form():

@@ -720,9 +720,10 @@ def _cursor_cases():
 
 
 def test_cursor_rounds_give_the_generic_runs():
-    """Two sides of ``_Top`` agents run rounds 1.. in ``cursor_rounds``; the
-    generic rounds, reached by wrapping the sides, give the same outcome,
-    trace and verdicts, from the universe and from random pools."""
+    """Two sides of ``_Top`` agents run the whole run, round 0 included, in
+    ``cursor_rounds``; the generic rounds, reached by wrapping the sides,
+    give the same outcome, trace and verdicts, from the universe and from
+    random pools."""
     rng = random.Random(7)
     for inst in _cursor_cases():
         assert inst.f1._all_top and inst.f2._all_top
