@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Where ``engine.run``'s time goes on one cycle of a benchmark workload.
+
+Builds the first cycle of the ``marriage`` or ``bulk`` workload's inputs
+(items ``0 .. period-1`` of ``bench/workloads.py``, as a benchmark worker
+does), then times, in each of ``--passes`` passes, ``run`` on every item and
+the singleton stability verdict (``is_stable_set``) on every outcome.  It
+prints the fastest pass of each, in milliseconds for the whole cycle, and
+their difference: the rounds, with the agreement verdict and the trace.
+
+Usage::
+
+    python3 scripts/phases.py --workload {marriage,bulk} --seed N [--passes P]
+
+The last line reads ``run <ms> ms verdict <ms> ms rounds <ms> ms in <items> items``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=("marriage", "bulk"), required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--passes", type=int, default=15)
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from contractmatch import is_stable_set, run
+    from workloads import WORKLOADS
+
+    wl = WORKLOADS[args.workload]()
+    inputs = [wl.make(args.seed, i) for i in range(wl.period)]
+    items = [(inp.instance, inp.proposer) for inp in inputs]
+    outcomes = [(inst, run(inst, proposer).chosen) for inst, proposer in items]
+    run_s = verdict_s = float("inf")
+    for _ in range(args.passes):
+        start = perf_counter()
+        for inst, proposer in items:
+            run(inst, proposer)
+        middle = perf_counter()
+        for inst, chosen in outcomes:
+            is_stable_set(inst, chosen)
+        end = perf_counter()
+        run_s, verdict_s = min(run_s, middle - start), min(verdict_s, end - middle)
+
+    run_ms, verdict_ms = 1e3 * run_s, 1e3 * verdict_s
+    print(f"run      {run_ms:8.3f} ms")
+    print(f"verdict  {verdict_ms:8.3f} ms  {verdict_ms / run_ms:6.1%} of run")
+    print(f"rounds   {run_ms - verdict_ms:8.3f} ms  {1 - verdict_ms / run_ms:6.1%} of run")
+    print(
+        f"run {run_ms:.3f} ms verdict {verdict_ms:.3f} ms"
+        f" rounds {run_ms - verdict_ms:.3f} ms in {len(items)} items"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -35,7 +35,10 @@ another such side in :meth:`AggregateChoice.cursor_rounds`, rounds 0..
 included: each rejected proposer resumes after its refused contract, and
 each receiver compares a new offer with its held contract by rank.
 :func:`~contractmatch.engine.run` takes it for every marriage market and
-for no side with any other kind of agent.
+for no side with any other kind of agent.  The singleton stability verdict
+between two such sides is :meth:`AggregateChoice.rank_blocker`, read from
+the same arrays: the contracts a side keeps on top of a set are those
+ranked above the best contract their owner holds in it.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ class AggregateChoice(ChoiceFunction):
     menu's intersection with its slice.  When every agent is a ``_Top`` (a
     Gale-Shapley agent), ``_all_top`` is set, ``_rank`` gives each
     contract's position in its owner's order (0 for the top, ``i + 1`` for
-    ``tail[i]``, ``n`` for a contract outside its owner's piece), and a run
-    between two such sides takes :meth:`cursor_rounds` from round 0.
+    ``tail[i]``, ``n`` for a contract outside its owner's piece), a run
+    between two such sides takes :meth:`cursor_rounds` from round 0, and
+    their singleton stability verdict is :meth:`rank_blocker`.
     """
 
     n: int
@@ -254,6 +258,50 @@ class AggregateChoice(ChoiceFunction):
             pool ^= rejected
             offer ^= rejected
             sent = resent
+
+    def rank_blocker(self, other: AggregateChoice, subset: int) -> int:
+        """The lowest-id contract outside ``subset`` that this side and
+        ``other`` both keep on top of it, as a one-bit mask (0 for none),
+        both sides made only of ``_Top`` agents (``_all_top``).
+
+        A ``_Top`` agent keeps ``x`` from ``subset | {x}`` exactly when
+        ``x`` ranks above the best contract the agent holds in ``subset``.
+        One pass over ``subset`` finds each agent's best rank on each side
+        (``n``: none).  The entries ranked above an agent's best rank, read
+        from its top and tail, are exactly what that side keeps; only the
+        side whose best ranks sum lower is walked, and each entry ``x`` is
+        tested against the other side with ``rank[x] < best[owner[x]]``.
+        The lowest such id does not depend on the side walked, so the
+        verdict equals the two sides' ``kept_additions``.
+        """
+        n = self.n
+        best, other_best = [n] * len(self._agents), [n] * len(other._agents)
+        owner, rank, other_owner, other_rank = self._owner, self._rank, other._owner, other._rank
+        while subset:
+            c = subset.bit_length() - 1
+            subset ^= 1 << c
+            a, r = owner[c], rank[c]
+            if r < best[a]:
+                best[a] = r
+            a, r = other_owner[c], other_rank[c]
+            if r < other_best[a]:
+                other_best[a] = r
+        agents = self._agents
+        if sum(other_best) < sum(best):
+            agents, best, other_owner, other_rank, other_best = (
+                other._agents, other_best, owner, rank, best
+            )
+        witness = n
+        for agent, b in zip(agents, best):
+            if not b:
+                continue
+            x = agent.top.bit_length() - 1
+            if x < witness and other_rank[x] < other_best[other_owner[x]]:
+                witness = x
+            for x in agent.tail[:b - 1]:
+                if x < witness and other_rank[x] < other_best[other_owner[x]]:
+                    witness = x
+        return 1 << witness if witness < n else 0
 
 
 def aggregate_side(

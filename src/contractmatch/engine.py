@@ -21,11 +21,13 @@ alongside its claims.
 Later rounds call ``rechoose`` and the singleton verdict calls
 ``kept_additions`` once per side (see :mod:`contractmatch.choice`), so an
 aggregate side re-evaluates only the agents whose menus changed, or, for
-each outside contract, only its owner.  The agreement verdict takes the
-receiving side's choice from the last round, which evaluated it on the
-final offer already, and asks the proposer through ``rechoose`` from the
-last pool, whose choice that offer is: ranking and filter proposers, which
-only lost contracts they rejected, are not evaluated again.
+each outside contract, only its owner; two sides of Gale-Shapley agents
+read the verdict from their rank arrays instead (below).  The agreement
+verdict takes the receiving side's choice from the last round, which
+evaluated it on the final offer already, and asks the proposer through
+``rechoose`` from the last pool, whose choice that offer is: ranking and
+filter proposers, which only lost contracts they rejected, are not
+evaluated again.
 
 When both sides are aggregates of Gale-Shapley agents only (every agent is
 the one-order, quota-1 ranking evaluator, as in every marriage market),
@@ -33,8 +35,13 @@ the whole run, round 0 included, goes to
 :meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds` instead:
 each proposer resumes its order after a refused contract, and each receiver
 compares a new offer with its held contract by their ranks in its order.
-The choice is made from the sides themselves, not by an option; it gives
-the same trace, and the verdicts are shared.
+The singleton verdict of two such sides, for a run's outcome or for any
+subset given to :func:`is_stable_set`, is
+:meth:`~contractmatch.aggregation.AggregateChoice.rank_blocker`: an outside
+contract blocks exactly when it ranks above the best contract each of its
+two owners holds.  Both choices are made from the sides themselves, not by
+an option, and give the same trace and verdicts as the generic rounds and
+``kept_additions``, which stay their test reference.
 
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest
@@ -345,9 +352,11 @@ def is_agreement(instance: Instance, subset: int) -> AgreementVerdict:
 
 
 def _singleton_stability(instance: Instance, subset: int) -> StabilityVerdict:
+    f1, f2 = instance.f1, instance.f2
+    if getattr(f1, "_all_top", False) and getattr(f2, "_all_top", False):
+        return StabilityVerdict(subset, MODE_SINGLETON, f1.rank_blocker(f2, subset) or None)
     # Side 2 is asked only about the outside contracts side 1 keeps.
-    outside = instance.universe & ~subset
-    both = instance.f2.kept_additions(subset, instance.f1.kept_additions(subset, outside))
+    both = f2.kept_additions(subset, f1.kept_additions(subset, instance.universe & ~subset))
     return StabilityVerdict(subset, MODE_SINGLETON, both & -both or None)
 
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -600,14 +604,25 @@ def _owners(f: AggregateChoice, subset: int) -> set[str]:
     return {p.agent for p in f.parts if any(subset >> g & 1 for g in p.contract_ids)}
 
 
+def _outside_and_kept_by_side_1(inst: Instance, chosen: int) -> tuple[int, int]:
+    """The contracts outside ``chosen``, and those side 1 keeps on top of it."""
+    outside = inst.universe & ~chosen
+    kept = mask_of(
+        x for x in ids_of(outside) if inst.f1.choose_mask(chosen | 1 << x) >> x & 1
+    )
+    return outside, kept
+
+
 @pytest.mark.parametrize("k", [16, 32])
 def test_verdict_evaluates_each_outside_contract_once_per_keeping_side(k, monkeypatch):
     """Side 1 evaluates the owner of every outside contract once; side 2
     evaluates the owner of each outside contract that side 1 keeps.
 
-    On the bare instance, whose agents are ranking evaluators, each side
-    asks every owner concerned once, about all of its candidates: one
-    ``_kept_additions`` call per distinct owner.
+    The bare instance's agents are all Gale-Shapley agents, so its verdict
+    is read from the sides' rank arrays and calls no ``_kept_additions``.
+    With one man's agent a quota-2 ranking instead, the verdict takes the
+    sides' ``kept_additions``: each side asks every owner concerned once,
+    about all of its candidates, one call per distinct owner.
     """
     calls = _count_ranking_calls(monkeypatch, "_kept_additions")
     for seed in range(3):
@@ -616,20 +631,25 @@ def test_verdict_evaluates_each_outside_contract_once_per_keeping_side(k, monkey
         counted = dataclasses.replace(
             inst, f1=_counted(inst.f1, tally), f2=_counted(inst.f2, tally)
         )
+        first = inst.f1.parts[0]
+        quota2 = dataclasses.replace(first, spec=ResponsiveQuota(k, first.spec.order, 2))
+        mixed = dataclasses.replace(
+            inst, f1=AggregateChoice(inst.n, (quota2, *inst.f1.parts[1:]))
+        )
         for proposer in (1, 2):
             chosen = run(inst, proposer).chosen
-            outside = inst.universe & ~chosen
-            kept1 = mask_of(
-                x
-                for x in range(inst.n)
-                if outside >> x & 1 and inst.f1.choose_mask(chosen | 1 << x) >> x & 1
-            )
+            outside, kept1 = _outside_and_kept_by_side_1(inst, chosen)
             tally[0] = 0
             assert is_stable_set(counted, chosen).stable
             assert tally[0] == outside.bit_count() + kept1.bit_count()
             calls[0] = 0
             assert is_stable_set(inst, chosen).stable
-            assert calls[0] == len(_owners(inst.f1, outside)) + len(_owners(inst.f2, kept1))
+            assert calls[0] == 0
+            chosen = run(mixed, proposer).chosen
+            outside, kept1 = _outside_and_kept_by_side_1(mixed, chosen)
+            calls[0] = 0
+            assert is_stable_set(mixed, chosen).stable
+            assert calls[0] == len(_owners(mixed.f1, outside)) + len(_owners(mixed.f2, kept1))
 
 
 class ChooseMaskOnly(ChoiceFunction):
@@ -850,6 +870,122 @@ def test_a_256x256_market_takes_the_wide_rank_array():
     ):
         chosen = run(inst, proposer).chosen
         assert {divmod(g, 256) for g in ids_of(chosen)} == pairs
+
+
+# ---------------------------------------------------------------------------
+# The singleton verdict of two sides of Gale-Shapley agents
+# ---------------------------------------------------------------------------
+
+
+def _kept_by_both(inst: Instance, subset: int) -> int:
+    """The generic verdict's blocker on the bare sides: the lowest
+    outside contract both sides' ``kept_additions`` keep, or 0."""
+    outside = inst.universe & ~subset
+    both = inst.f2.kept_additions(subset, inst.f1.kept_additions(subset, outside))
+    return both & -both
+
+
+def _verdict_subsets(inst: Instance, rng: random.Random):
+    """The empty set, the universe, random subsets, outcomes with one
+    agent's random share of contracts added, and runs of both proposers
+    from the universe and from random pools."""
+    yield from (0, inst.universe, rng.getrandbits(inst.n), rng.getrandbits(inst.n))
+    for proposer in (1, 2):
+        for pool in (None, rng.getrandbits(inst.n)):
+            chosen = run(inst, proposer, pool).chosen
+            yield chosen
+            side = inst.side(rng.choice((1, 2)))
+            share = mask_of(rng.choice(side.parts).contract_ids) & rng.getrandbits(inst.n)
+            yield chosen | share
+
+
+def test_the_rank_verdict_gives_the_generic_verdict():
+    """Two sides of ``_Top`` agents read the singleton verdict from their
+    rank arrays; the wrapped sides' generic verdict gives the same witness
+    on every subset, blocked or not."""
+    rng = random.Random(16)
+    blocked = stable = 0
+    for inst in _cursor_cases():
+        generic = _generic(inst)
+        for subset in _verdict_subsets(inst, rng):
+            verdict = is_stable_set(inst, subset)
+            assert verdict == is_stable_set(generic, subset)
+            assert inst.f1.rank_blocker(inst.f2, subset) == _kept_by_both(inst, subset)
+            assert inst.f2.rank_blocker(inst.f1, subset) == _kept_by_both(inst, subset)
+            blocked += not verdict.stable
+            stable += verdict.stable
+    assert blocked and stable
+
+
+def test_the_rank_verdict_on_a_256x256_market():
+    """The wide (``L``) rank arrays give the generic verdict too."""
+    inst = build_marriage_instance(*random_marriage_profile(3, 256, 256))
+    assert inst.f1._rank.typecode == inst.f2._rank.typecode == "L"
+    rng = random.Random(256)
+    for subset in _verdict_subsets(inst, rng):
+        blocker = _kept_by_both(inst, subset)
+        assert inst.f1.rank_blocker(inst.f2, subset) == blocker
+        assert is_stable_set(inst, subset).blocking_set == (blocker or None)
+
+
+def test_the_rank_verdict_is_taken_by_two_sides_of_top_agents_only(monkeypatch):
+    """The verdict, whether reached from ``run``, ``is_stable_set`` or
+    ``meet``'s input checks, is read from the ranks when both sides are all
+    ``_Top``: one ``_Ranking``, ``_Slice`` or ``_Mapped`` agent, or a
+    wrapped side, sends it through ``kept_additions``."""
+    calls, kept = [], _count_ranking_calls(monkeypatch, "_kept_additions")
+    original = AggregateChoice.rank_blocker
+
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(AggregateChoice, "rank_blocker", counting)
+    inst = build_marriage_instance(*random_marriage_profile(3, 4, 4))
+    for proposer in (1, 2):
+        chosen = run(inst, proposer).chosen
+        assert is_stable_set(inst, chosen).stable
+        assert calls == [inst.f1, inst.f1]
+        calls.clear()
+    first, last = run(inst, 1).chosen, run(inst, 2).chosen
+    calls.clear()
+    meet(inst, first, last)
+    assert calls == [inst.f1] * 3  # two input checks and the run
+    calls.clear()
+    for which in ("f1", "f2"):
+        first, *others = getattr(inst, which).parts
+        for spec, evaluator in (
+            (ResponsiveQuota(4, first.spec.order, 2), _Ranking),
+            (Identity(4), _Slice),
+            (tabulate(first.spec), _Mapped),
+        ):
+            side = AggregateChoice(inst.n, (dataclasses.replace(first, spec=spec), *others))
+            assert type(side._agents[0]) is evaluator and not side._all_top
+            mixed = dataclasses.replace(inst, **{which: side})
+            kept[0] = 0
+            is_stable_set(mixed, run(mixed, 1).chosen)
+            assert kept[0] > 0
+    for wrapped in (_generic(inst), dataclasses.replace(inst, f2=ChooseMaskOnly(inst.f2))):
+        is_stable_set(wrapped, run(wrapped, 1).chosen)
+    assert calls == []
+
+
+@pytest.mark.parametrize("workload", ["marriage", "bulk"])
+def test_phases_script_splits_a_cycle(workload):
+    """``scripts/phases.py`` times ``run`` and the verdict over one cycle."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "phases.py"),
+         "--workload", workload, "--seed", "1", "--passes", "1"],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    last = re.fullmatch(
+        r"run (\d+\.\d+) ms verdict (\d+\.\d+) ms rounds (-?\d+\.\d+) ms in ([1-9]\d*) items",
+        out[-1],
+    )
+    assert last, out[-1]
+    run_ms, verdict_ms, rounds_ms = map(float, last.groups()[:3])
+    assert 0 < verdict_ms and abs(run_ms - verdict_ms - rounds_ms) < 0.002
 
 
 def test_80x80_marriage_is_fast():

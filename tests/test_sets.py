@@ -30,6 +30,34 @@ def test_mask_of():
     assert mask_of([2, 0, 2]) == 0b101
 
 
+def _mask_by_loop(ids) -> int:
+    mask = 0
+    for c in ids:
+        mask |= 1 << c
+    return mask
+
+
+@given(st.integers(-40, 200), st.integers(-40, 200), st.integers(-70, 70).filter(bool))
+def test_mask_of_a_range_equals_the_loop(start, stop, step):
+    """Closed form or loop, a range's mask is the one the loop builds,
+    for any step sign, empty ranges, and sparse ranges; a range with a
+    negative id is refused like the loop refuses it."""
+    ids = range(start, stop, step)
+    if ids and min(ids) < 0:
+        with pytest.raises(ValueError, match="negative shift"):
+            mask_of(ids)
+        with pytest.raises(ValueError, match="negative shift"):
+            _mask_by_loop(ids)
+    else:
+        assert mask_of(ids) == _mask_by_loop(ids) == mask_of(list(ids))
+
+
+def test_mask_of_a_wide_sparse_range_is_quick():
+    with deadline(5):
+        for g in range(1, 201):
+            assert mask_of(range(g, 10**6, 10**6 // 2)) == 1 << g | 1 << g + 10**6 // 2
+
+
 def test_ids_of_ascending():
     assert ids_of(0) == ()
     assert ids_of(0b1011) == (0, 1, 3)
