@@ -15,25 +15,25 @@ who owns each contract: :meth:`AggregateChoice.owners` names each
 contract's agent, and an :class:`~contractmatch.engine.Instance` with two
 aggregate sides reads its labels from them.  :class:`AggregateChoice`
 writes each agent in global ids once, when the side is built (see
-``ChoiceFunction._relabelled``): a ranking or market consumer becomes a top
-mask and a tail walk per order (``_Top`` for one non-empty order with
-quota 1, as every marriage agent is, ``_Ranking`` for any other shape), a
-filter or market producer a mask over global ids, and only tables,
-valuations and foreign subclasses map ids on each call.  Its
-``kept_additions`` asks each owner once about all of its candidates, and
-its ``rechoose`` evaluates only the agents whose share of the menu
-changed.  A ranking or filter agent whose share only lost
-contracts it had rejected is skipped too: it is coherent by construction,
-so that loss cannot change its choice (``ignores_rejected`` in
-:mod:`contractmatch.choice`).  Tables, valuations and other evaluators are
-re-evaluated on any change.  The side keeps one complement mask per agent
-(the universe minus its slice), so each agent touched costs a constant
-number of full-width mask operations.  A side whose agents are all ``_Top``
-(``_all_top``, decided when it is built) also keeps each contract's rank in
-its owner's order (``_rank``), and can run deferred acceptance against
-another such side in :meth:`AggregateChoice.cursor_rounds`, rounds 0..
-included: each rejected proposer resumes after its refused contract, and
-each receiver compares a new offer with its held contract by rank.
+``ChoiceFunction._relabelled``): a ranking or market consumer becomes a
+``_Ranking``, a top mask and a tail walk per order, a filter or market
+producer a mask over global ids, and only tables, valuations and foreign
+subclasses map ids on each call.  Its ``kept_additions`` asks each owner
+once about all of its candidates, and its ``rechoose`` evaluates only the
+agents whose share of the menu changed.  A ranking or filter agent whose
+share only lost contracts it had rejected is skipped too: it is coherent by
+construction, so that loss cannot change its choice (``ignores_rejected``
+in :mod:`contractmatch.choice`).  Tables, valuations and other evaluators
+are re-evaluated on any change.  The side keeps one complement mask per
+agent (the universe minus its slice), so each agent touched costs a
+constant number of full-width mask operations.  A side made only of
+Gale-Shapley agents (each a ``_Ranking`` with quota 1 and one order with a
+non-empty top, decided when the side is built) also keeps each contract's
+rank in its owner's order (``_rank``), and can run deferred acceptance
+against another such side in :meth:`AggregateChoice.cursor_rounds`,
+rounds 0.. included: each rejected proposer resumes after its refused
+contract, and each receiver compares a new offer with its held contract by
+rank.
 :func:`~contractmatch.engine.run` takes it for every marriage market and
 for no side with any other kind of agent.  The singleton stability verdict
 between two such sides is :meth:`AggregateChoice.rank_blocker`, read from
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .choice import ChoiceFunction, TopOfOrder, _Top
+from .choice import ChoiceFunction, TopOfOrder, _Ranking
 from .engine import Instance
 from .errors import DomainError, SpecError
 from .preference import COHERENCE_ASSERTED
@@ -91,10 +91,11 @@ class AggregateChoice(ChoiceFunction):
     """Union of per-agent choices over a partition of the universe.
 
     Evaluation is label-local: an agent's contribution depends only on the
-    menu's intersection with its slice.  When every agent is a ``_Top`` (a
-    Gale-Shapley agent), ``_all_top`` is set, ``_rank`` gives each
+    menu's intersection with its slice.  When every agent is a Gale-Shapley
+    agent (a ``_Ranking`` with quota 1 and one order with a non-empty top,
+    whose ``(top, tail)`` is ``splits[0]``), the side has ``_rank``: each
     contract's position in its owner's order (0 for the top, ``i + 1`` for
-    ``tail[i]``, ``n`` for a contract outside its owner's piece), a run
+    ``tail[i]``, ``n`` for a contract outside its owner's piece), and a run
     between two such sides takes :meth:`cursor_rounds` from round 0, and
     their singleton stability verdict is :meth:`rank_blocker`.
     """
@@ -145,13 +146,16 @@ class AggregateChoice(ChoiceFunction):
         object.__setattr__(self, "_unsure", unsure)
         # Two sides of Gale-Shapley agents run deferred acceptance in
         # cursor_rounds, comparing contracts by their rank in _rank.
-        all_top = all(type(agent) is _Top for agent in agents)
-        object.__setattr__(self, "_all_top", all_top)
-        if all_top:
+        if all(
+            type(agent) is _Ranking and agent.quota == 1
+            and len(agent.splits) == 1 and agent.splits[0][0]
+            for agent in agents
+        ):
             rank = [self.n] * self.n  # n: outside its owner's piece
             for agent in agents:
-                rank[agent.top.bit_length() - 1] = 0
-                for i, c in enumerate(agent.tail, 1):
+                top, tail = agent.splits[0]
+                rank[top.bit_length() - 1] = 0
+                for i, c in enumerate(tail, 1):
                     rank[c] = i
             object.__setattr__(self, "_rank", array("H" if self.n < 1 << 16 else "L", rank))
         object.__setattr__(self, "_agents", agents)
@@ -198,8 +202,8 @@ class AggregateChoice(ChoiceFunction):
         self, receiver: AggregateChoice, pool: int
     ) -> tuple[list[int], list[int], list[int]]:
         """Deferred acceptance from ``pool``, rounds 0.., this side
-        proposing to ``receiver``, both sides made only of ``_Top`` agents
-        (``_all_top``).
+        proposing to ``receiver``, both sides made only of Gale-Shapley
+        agents (both have ``_rank``).
 
         Returns every round's pool, offer and accepted set, round 0 first,
         as ``engine.run``'s generic rounds would.  Each agent's ``piece`` is
@@ -211,21 +215,24 @@ class AggregateChoice(ChoiceFunction):
         per run.  A receiver holds one contract and keeps a new offer ``d``
         when ``_rank[d]`` is below its held contract's rank, one comparison
         per offer; an offer outside its piece ranks ``n`` and is refused.  A
-        ``_Top`` receiver keeps only offered contracts, so pools only
+        quota-1 receiver keeps only offered contracts, so pools only
         shrink, and the run ends at the first round that rejects nothing.
         """
-        p_owner, p_agents, p_rank = self._owner, self._agents, self._rank
+        p_owner, p_rank = self._owner, self._rank
         r_owner, r_rank = receiver._owner, receiver._rank
         held = [-1] * len(receiver._agents)  # each receiver's held contract
         best = [receiver.n] * len(receiver._agents)  # and its rank; n: none
         pools, offers, accepted = [], [], []
         offer = 0
         sent = []  # the round's new offers
-        for agent in p_agents:
-            if pool & agent.top:
-                sent.append(agent.top.bit_length() - 1)
+        p_tails = []  # each proposer's tail, so a rejection costs one subscript
+        for agent in self._agents:
+            top, tail = agent.splits[0]
+            p_tails.append(tail)
+            if pool & top:
+                sent.append(top.bit_length() - 1)
                 continue
-            for d in agent.tail:
+            for d in tail:
                 if pool >> d & 1:
                     sent.append(d)
                     break
@@ -243,7 +250,7 @@ class AggregateChoice(ChoiceFunction):
                 rejected |= 1 << loser
                 # Its proposer's next offer: no later entry of its order is
                 # offered this round, so none leaves the pool with the loser.
-                tail, i = p_agents[p_owner[loser]].tail, p_rank[loser]
+                tail, i = p_tails[p_owner[loser]], p_rank[loser]
                 while i < len(tail):
                     e = tail[i]
                     if pool >> e & 1:
@@ -262,9 +269,9 @@ class AggregateChoice(ChoiceFunction):
     def rank_blocker(self, other: AggregateChoice, subset: int) -> int:
         """The lowest-id contract outside ``subset`` that this side and
         ``other`` both keep on top of it, as a one-bit mask (0 for none),
-        both sides made only of ``_Top`` agents (``_all_top``).
+        both sides made only of Gale-Shapley agents (both have ``_rank``).
 
-        A ``_Top`` agent keeps ``x`` from ``subset | {x}`` exactly when
+        Such an agent keeps ``x`` from ``subset | {x}`` exactly when
         ``x`` ranks above the best contract the agent holds in ``subset``.
         One pass over ``subset`` finds each agent's best rank on each side
         (``n``: none).  The entries ranked above an agent's best rank, read
@@ -295,10 +302,11 @@ class AggregateChoice(ChoiceFunction):
         for agent, b in zip(agents, best):
             if not b:
                 continue
-            x = agent.top.bit_length() - 1
+            top, tail = agent.splits[0]
+            x = top.bit_length() - 1
             if x < witness and other_rank[x] < other_best[other_owner[x]]:
                 witness = x
-            for x in agent.tail[:b - 1]:
+            for x in tail[:b - 1]:
                 if x < witness and other_rank[x] < other_best[other_owner[x]]:
                     witness = x
         return 1 << witness if witness < n else 0

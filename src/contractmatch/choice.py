@@ -23,18 +23,16 @@ evaluate only the agents concerned.
 The rankings (:class:`TopOfOrder`, :class:`ResponsiveQuota`,
 :class:`UnionOfOrders`, the market's unit-demand consumer) all choose "the
 ``quota`` best available contracts of each order", where "``x`` is kept
-from ``S | {x}``" is one rank threshold.  Two evaluators do this, and the
-function's shape picks one when it is relabelled: ``_Top`` for exactly one
-non-empty order with quota 1 (a Gale-Shapley agent: the best available
-contract), ``_Ranking`` for several orders, any other quota or an empty
-order.  Both split each order once into a top mask (its first ``quota``
-contracts) and a tail, so a menu holding the whole top is answered by mask
-operations alone and only the tail is walked, for the members the top
-lacks; ``_Top`` does so without counting bits or quotas.  ``_relabelled``
-fits a function to a slice of a larger universe: a ranking is rewritten in
-global ids once, :class:`Identity` and the market's linear producer become
-a mask, and only tables, valuations and foreign subclasses are evaluated
-through a per-call id mapping of their ``choose_mask`` and ``kept_additions``.
+from ``S | {x}``" is one rank threshold.  One evaluator, ``_Ranking``,
+does this for every shape: each order is split once into a top mask (its
+first ``quota`` contracts) and a tail, so a menu holding the whole top is
+answered by mask operations alone and only the tail is walked, for the
+members the top lacks.  A Gale-Shapley agent is its one-order, quota-1
+case.  ``_relabelled`` fits a function to a slice of a larger universe: a
+ranking is rewritten in global ids once, :class:`Identity` and the
+market's linear producer become a mask, and only tables, valuations and
+foreign subclasses are evaluated through a per-call id mapping of their
+``choose_mask`` and ``kept_additions``.
 The ranking and filter evaluators are marked ``ignores_rejected``: they are
 coherent by construction, so a menu that only lost contracts they did not
 choose leaves their choice unchanged (the irrelevance of rejected
@@ -154,24 +152,22 @@ class _Ranking:
 
     Every contract of ``piece`` is in some order, each order best-first, in
     whatever id space the masks use; only ``subset & piece`` is looked at.
-    A menu share of at most ``quota`` contracts is chosen whole.  Each order
-    is split once into its *top* (the mask of its first ``quota`` contracts)
-    and its *tail* (the rest, in order), so the top is answered by one mask
-    operation and only the tail is walked, for the members the top lacks.
-    Coherent by construction, so removing contracts it did not choose never
-    changes its choice (``ignores_rejected``).  A ranking of exactly one
-    non-empty order with quota 1 gets the leaner :class:`_Top` instead (see
-    :meth:`_RankingChoice._relabelled`).
+    A menu share of at most ``quota`` contracts is chosen whole.  ``splits``
+    holds each order split once into its *top* (the mask of its first
+    ``quota`` contracts) and its *tail* (the rest, in order), so the top is
+    answered by one mask operation and only the tail is walked, for the
+    members the top lacks.  Coherent by construction, so removing contracts
+    it did not choose never changes its choice (``ignores_rejected``).
+    With quota 1 and one order (a Gale-Shapley agent), an aggregate side
+    reads ``splits[0]`` directly to run deferred acceptance and the
+    stability verdict by rank (see :mod:`contractmatch.aggregation`).
     """
 
     __slots__ = ("splits", "quota", "piece")
     ignores_rejected = True
 
-    def __init__(self, orders: Sequence[Sequence[int]], quota: int, piece: int):
-        # Each order as its (top mask, tail), from a list: see
-        # AggregateChoice.__post_init__.
-        self.splits = tuple([(mask_of(order[:quota]), order[quota:]) for order in orders])
-        self.quota, self.piece = quota, piece
+    def __init__(self, splits: Sequence[tuple[int, Sequence[int]]], quota: int, piece: int):
+        self.splits, self.quota, self.piece = splits, quota, piece
 
     def _choose(self, subset: int) -> int:
         share, quota = subset & self.piece, self.quota
@@ -213,52 +209,6 @@ class _Ranking:
         return candidates & better
 
 
-class _Top:
-    """Chooses the best available contract of one order: :class:`_Ranking`
-    with a single non-empty order and quota 1, the evaluator of Gale and
-    Shapley's agents.
-
-    Every contract of ``piece`` is in the order; ``top`` is the mask of its
-    first contract and ``tail`` the rest, in order.  A menu share of at most
-    one contract is chosen whole; otherwise the top is chosen if present,
-    else the first present tail entry.  No ``bit_count`` and no quota
-    bookkeeping.  Coherent by construction (``ignores_rejected``).
-    """
-
-    __slots__ = ("top", "tail", "piece")
-    ignores_rejected = True
-
-    def __init__(self, top: int, tail: Sequence[int], piece: int):
-        self.top, self.tail, self.piece = top, tail, piece
-
-    def _choose(self, subset: int) -> int:
-        share = subset & self.piece
-        if not share & (share - 1):
-            return share
-        if share & self.top:
-            return self.top
-        for c in self.tail:
-            if share >> c & 1:
-                return 1 << c
-        return 0
-
-    def _kept_additions(self, subset: int, candidates: int) -> int:
-        """``x`` is kept from ``S | {x}`` exactly when the order ranks ``x``
-        no lower than the best member of ``S``: any candidate of the piece
-        when ``S`` shares nothing with it, else the top and the tail up to
-        and including that member."""
-        share = subset & self.piece
-        if not share:
-            return candidates & self.piece
-        better = self.top
-        if not share & better:
-            for c in self.tail:
-                better |= 1 << c
-                if share >> c & 1:
-                    break
-        return candidates & better
-
-
 class _Slice:
     """:class:`Identity` on ``piece``: every contract of it is chosen, so
     removing contracts it did not choose never changes its choice."""
@@ -279,16 +229,13 @@ class _Slice:
 class _RankingChoice(ChoiceFunction):
     """A variant that chooses the ``quota`` best available contracts of each
     of its orders, given by ``_orders_and_quota``.  Its own calls and its
-    relabelled form share one evaluator, picked from the function's shape:
-    :class:`_Top` for exactly one non-empty order with quota 1, and
-    :class:`_Ranking` for several orders, a quota other than 1 or an empty
-    order."""
+    relabelled form share one :class:`_Ranking` evaluator."""
 
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         raise NotImplementedError
 
     @cached_property
-    def _ranking(self) -> _Ranking | _Top:
+    def _ranking(self) -> _Ranking:
         """The evaluator over local ids, built on the first direct call: an
         agent inside an aggregate is only ever called relabelled."""
         return self._relabelled(range(self.n), full_mask(self.n))
@@ -299,18 +246,18 @@ class _RankingChoice(ChoiceFunction):
     def _kept_additions(self, subset: int, candidates: int) -> int:
         return self._ranking._kept_additions(subset, candidates)
 
-    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking | _Top:
-        """The orders written in global ids once, as compact arrays: a
-        :class:`_Top` for exactly one non-empty order with quota 1, else a
-        :class:`_Ranking`."""
+    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
+        """Each order split once, from local ids, into its top mask and its
+        tail as a compact array of global ids."""
         orders, quota = self._orders_and_quota()
         code = "H" if piece.bit_length() <= 1 << 16 else "L"
-        if quota == 1 and len(orders) == 1 and orders[0]:
-            order = orders[0]
-            return _Top(1 << ids[order[0]], array(code, [ids[c] for c in order[1:]]), piece)
         # From a list: see AggregateChoice.__post_init__.
-        global_orders = tuple([array(code, [ids[c] for c in order]) for order in orders])
-        return _Ranking(global_orders, quota, piece)
+        splits = tuple([
+            (mask_of([ids[c] for c in order[:quota]]),
+             array(code, [ids[c] for c in order[quota:]]))
+            for order in orders
+        ])
+        return _Ranking(splits, quota, piece)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ evaluated it on the final offer already, and asks the proposer through
 filter proposers, which only lost contracts they rejected, are not
 evaluated again.
 
-When both sides are aggregates of Gale-Shapley agents only (every agent is
-the one-order, quota-1 ranking evaluator, as in every marriage market),
-the whole run, round 0 included, goes to
+When both sides are aggregates of Gale-Shapley agents only (every agent's
+evaluator is a ranking of one order with quota 1, as in every marriage
+market), each side has a ``_rank`` array, and the whole run, round 0
+included, goes to
 :meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds` instead:
 each proposer resumes its order after a refused contract, and each receiver
 compares a new offer with its held contract by their ranks in its order.
@@ -39,9 +40,9 @@ The singleton verdict of two such sides, for a run's outcome or for any
 subset given to :func:`is_stable_set`, is
 :meth:`~contractmatch.aggregation.AggregateChoice.rank_blocker`: an outside
 contract blocks exactly when it ranks above the best contract each of its
-two owners holds.  Both choices are made from the sides themselves, not by
-an option, and give the same trace and verdicts as the generic rounds and
-``kept_additions``, which stay their test reference.
+two owners holds.  Both choices are made from the sides themselves (both
+have ``_rank``), not by an option, and give the same trace and verdicts as
+the generic rounds and ``kept_additions``, which stay their test reference.
 
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest
@@ -302,7 +303,7 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
     if z >> instance.n:
         raise DomainError(f"pool {z:#x} exceeds the {instance.n}-contract universe")
 
-    if getattr(propose, "_all_top", False) and getattr(other, "_all_top", False):
+    if hasattr(propose, "_rank") and hasattr(other, "_rank"):
         pools, offers, accepted = propose.cursor_rounds(other, z)
         z, keep = pools[-1], accepted[-1]
     else:
@@ -353,7 +354,7 @@ def is_agreement(instance: Instance, subset: int) -> AgreementVerdict:
 
 def _singleton_stability(instance: Instance, subset: int) -> StabilityVerdict:
     f1, f2 = instance.f1, instance.f2
-    if getattr(f1, "_all_top", False) and getattr(f2, "_all_top", False):
+    if hasattr(f1, "_rank") and hasattr(f2, "_rank"):
         return StabilityVerdict(subset, MODE_SINGLETON, f1.rank_blocker(f2, subset) or None)
     # Side 2 is asked only about the outside contracts side 1 keeps.
     both = f2.kept_additions(subset, f1.kept_additions(subset, instance.universe & ~subset))

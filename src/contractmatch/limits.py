@@ -4,8 +4,9 @@ Every exhaustive checker refuses universes larger than a configured bound
 instead of silently taking minutes.  Bounds can be raised (or lowered) per
 process through environment variables, or per call through the ``max_n``
 argument the checkers accept.  A variable that is set must hold a
-non-negative integer; any other value raises
-:class:`~contractmatch.errors.SpecError` when the bound is read.
+non-negative integer that ``int()`` converts (at most 4300 digits); any
+other value raises :class:`~contractmatch.errors.SpecError` when the bound
+is read, naming at most its first 20 characters if it is long.
 
 Environment variables:
 
@@ -39,9 +40,13 @@ def _from_env(name: str, default: int) -> int:
     raw = os.environ.get(var)
     if raw is None:
         return default
-    if not raw.strip().isdecimal():
-        raise SpecError(f"{var} must be a non-negative integer, got {raw!r}")
-    return int(raw)
+    if raw.strip().isdecimal():
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    shown = raw if len(raw) <= 40 else f"{raw[:20]}... ({len(raw)} characters)"
+    raise SpecError(f"{var} must be a non-negative integer, got {shown!r}")
 
 
 def exhaustive_bound() -> int:

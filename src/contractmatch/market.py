@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from . import limits
 from .aggregation import aggregate_side
-from .choice import ChoiceFunction, _lift, _Ranking, _RankingChoice, _Slice, _Top
+from .choice import ChoiceFunction, _lift, _Ranking, _RankingChoice, _Slice
 from .engine import Instance
 from .errors import SizeBoundError, SpecError
 from .preference import COHERENCE_ASSERTED
@@ -370,7 +370,7 @@ class UnitDemandConsumerChoice(_RankingChoice):
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         return self.picks, 1
 
-    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking | _Top:
+    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
         """Its piece is the affordable contracts: a lone unaffordable one is not chosen."""
         return super()._relabelled(ids, _lift(ids, mask_of(chain.from_iterable(self.picks))))
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contractmatch.aggregation import AggregateChoice, AggregatePart
 from contractmatch.choice import (
     ChoiceFunction,
     Identity,
@@ -23,7 +24,6 @@ from contractmatch.choice import (
     ValuationArgmax,
     _Ranking,
     _RankingChoice,
-    _Top,
     tabulate,
     valuation_choice,
 )
@@ -344,7 +344,8 @@ def test_ranking_evaluator_walks_only_the_tail():
         orders = [rng.sample(range(k), k) for _ in range(n_orders)]
         for quota in (1, 2, k // 2, k - 2):
             tally = [0]
-            ranking = _Ranking([_CountedOrder(o, tally) for o in orders], quota, full)
+            splits = [(mask_of(o[:quota]), _CountedOrder(o[quota:], tally)) for o in orders]
+            ranking = _Ranking(splits, quota, full)
             tops = mask_of(c for order in orders for c in order[:quota])
             tally[0] = 0
             assert ranking._choose(full) == tops
@@ -362,18 +363,22 @@ def test_ranking_evaluator_walks_only_the_tail():
             assert tally[0] == sum(gone in order[:quota] for order in orders)
 
 
-def _consumer(templates: tuple[str, ...], k: int) -> UnitDemandConsumerChoice:
-    """A unit-demand consumer on k affordable contracts whose templates
-    cycle through ``templates``: one order per template."""
+def _consumer(templates: tuple[str, ...], k: int, pay: int = 16) -> UnitDemandConsumerChoice:
+    """A unit-demand consumer on k contracts whose templates cycle through
+    ``templates``, willing to pay ``pay`` for each: one order per template
+    with an affordable contract (all of them at 16, none at 9)."""
     contracts = [MarketContract("p", "c", templates[i % len(templates)], i % 4) for i in range(k)]
-    return build_unit_demand_consumer(contracts, (10, 12, 14, 16), dict.fromkeys(templates, 16))
+    return build_unit_demand_consumer(contracts, (10, 12, 14, 16), dict.fromkeys(templates, pay))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_one_order_quota_1_rankings_get_the_top_evaluator(k):
-    """``_relabelled``, and so ``_ranking``, is a :class:`_Top` exactly for
-    one non-empty order with quota 1, and a :class:`_Ranking` for any other
-    quota, several orders or an empty order."""
+    """Every ranking, whatever its shape, is relabelled to a
+    :class:`_Ranking`.  An aggregate side made of one-order, quota-1
+    rankings has ``_rank``, the mark of the rank paths; one agent of any
+    other shape takes it away: quota 0, 2 or k+1, two orders, a
+    two-template consumer, an empty order, or a consumer that can afford
+    nothing (no order at all)."""
     rng = random.Random(k)
     order = tuple(rng.sample(range(k), k))
     tops = [
@@ -382,44 +387,59 @@ def test_one_order_quota_1_rankings_get_the_top_evaluator(k):
         UnionOfOrders(k, (order,)),
         _consumer(("t1",), k),
     ]
-    rankings = [
+    others = [
         *(ResponsiveQuota(k, order, q) for q in (0, 2, k + 1)),
         UnionOfOrders(k, (order, order[::-1])),
         _consumer(("t1", "t2"), max(k, 2)),
         TopOfOrder(0, ()),
+        _consumer(("t1",), k, pay=9),
     ]
-    for evaluator, functions in ((_Top, tops), (_Ranking, rankings)):
-        for f in functions:
-            ids = tuple(range(1, 2 * f.n, 2))
-            assert type(f._relabelled(ids, mask_of(ids))) is evaluator
-            assert type(f._ranking) is evaluator
+    assert others[-1]._orders_and_quota() == ((), 1)  # no affordable contract: no order
+    for f in tops + others:
+        ids = tuple(range(1, 2 * f.n, 2))
+        assert type(f._relabelled(ids, mask_of(ids))) is _Ranking
+        assert type(f._ranking) is _Ranking
+
+    def side(specs: list[ChoiceFunction]) -> AggregateChoice:
+        parts, n = [], 0
+        for a, f in enumerate(specs):
+            parts.append(AggregatePart(f"a{a}", f, range(n, n + f.n)))
+            n += f.n
+        return AggregateChoice(n, tuple(parts))
+
+    assert hasattr(side(tops), "_rank")
+    for f in others:
+        assert not hasattr(side([*tops, f]), "_rank")
+        assert not hasattr(side([f]), "_rank")
 
 
 @pytest.mark.parametrize("k", [*range(1, 9), 40, 64])
 def test_top_evaluator_matches_a_quota_1_ranking(k):
-    """:class:`_Top` against :class:`_Ranking` with quota 1 over the same
-    order, relabelled onto a scattered slice of a 3k-contract universe: on
+    """A :class:`TopOfOrder` relabelled onto a scattered slice of a
+    3k-contract universe against a reference read from the order itself, on
     every menu and candidate set up to k = 8, and on dense, sparse and
-    half-full ones beyond.  Its ``_choose`` always answers a mask."""
+    half-full ones beyond: it chooses the first entry of the order present
+    in the menu (always as a mask), and keeps a candidate ``x`` from
+    ``S | {x}`` exactly when the order ranks ``x`` at or above the best
+    member of ``S`` (any candidate of the slice when ``S`` holds none)."""
     rng = random.Random(k)
     ids = tuple(sorted(rng.sample(range(3 * k), k)))
     piece = mask_of(ids)
     outside = full_mask(3 * k) & ~piece
     order = tuple(rng.sample(range(k), k))
     top = TopOfOrder(k, order)._relabelled(ids, piece)
-    ranking = _Ranking([[ids[c] for c in order]], 1, piece)
-    assert type(top) is _Top
+    ranked = [ids[c] for c in order]  # the order in global ids, best first
     menus = all_masks(k) if k <= 8 else _large_menus(rng, k)
     spread = [mask_of(ids[i] for i in range(k) if menu >> i & 1) for menu in menus]
     for subset in spread:
+        present = [g for g in ranked if subset >> g & 1]
         subset |= rng.getrandbits(3 * k) & outside
         chosen = top._choose(subset)
-        assert type(chosen) is int and chosen == ranking._choose(subset)
+        assert type(chosen) is int and chosen == (1 << present[0] if present else 0)
+        at_or_above = mask_of(ranked[:ranked.index(present[0]) + 1] if present else ranked)
         for candidates in spread:
             candidates |= rng.getrandbits(3 * k) & outside
-            assert top._kept_additions(subset, candidates) == ranking._kept_additions(
-                subset, candidates
-            )
+            assert top._kept_additions(subset, candidates) == candidates & at_or_above
 
 
 # ---------------------------------------------------------------------------

@@ -529,6 +529,21 @@ def test_exit_2_on_bad_bound_variable(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_exit_2_on_a_bound_too_long_to_convert():
+    """A bound of more digits than ``int()`` converts is an input error, not
+    a crash: ``oracle`` exits 2 without a traceback, naming only the start
+    of the value."""
+    env = dict(_child_env(), CONTRACTMATCH_ORACLE_BOUND="9" * 5000)
+    out = subprocess.run(
+        [sys.executable, "-m", "contractmatch.cli", "oracle", str(fixture_path("marriage_2x2"))],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stdout + out.stderr
+    assert out.stderr.startswith("error: CONTRACTMATCH_ORACLE_BOUND")
+    assert "(5000 characters)" in out.stderr and len(out.stderr) < 200
+
+
 def test_exit_2_on_partial_order(tmp_path, capsys):
     doc = json.loads(fixture_path("marriage_2x2").read_text())
     doc["choice"]["side1"]["agents"]["m1"]["choice"]["order"] = ["m1_w2"]

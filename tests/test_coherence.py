@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contractmatch import limits
 from contractmatch.choice import Identity, TableChoice, TopOfOrder, tabulate, valuation_choice
 from contractmatch.coherence import (
     AXIOM_PATH,
@@ -315,3 +316,23 @@ def test_bound_override_via_environment(monkeypatch):
         monkeypatch.setenv("CONTRACTMATCH_EXHAUSTIVE_BOUND", bad)
         with pytest.raises(SpecError, match=f"CONTRACTMATCH_EXHAUSTIVE_BOUND .*'{bad}'"):
             check_contraction(Identity(2))
+
+
+def test_a_bound_too_long_to_convert_is_a_spec_error(monkeypatch):
+    """Each bound variable refuses a decimal value of more digits than
+    ``int()`` converts with a :class:`SpecError` that names only its start;
+    4300 digits are still read as a bound."""
+    for name, read in (
+        ("EXHAUSTIVE", limits.exhaustive_bound),
+        ("PAIRWISE", limits.pairwise_bound),
+        ("ORACLE", limits.oracle_bound),
+    ):
+        monkeypatch.setenv(f"CONTRACTMATCH_{name}_BOUND", "9" * 4300)
+        assert read() == 10**4300 - 1
+        monkeypatch.setenv(f"CONTRACTMATCH_{name}_BOUND", "9" * 4301)
+        with pytest.raises(SpecError) as caught:
+            read()
+        assert str(caught.value) == (
+            f"CONTRACTMATCH_{name}_BOUND must be a non-negative integer,"
+            f" got '{'9' * 20}... (4301 characters)'"
+        )

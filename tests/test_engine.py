@@ -23,10 +23,10 @@ from contractmatch.choice import (
     ResponsiveQuota,
     TableChoice,
     TopOfOrder,
+    UnionOfOrders,
     _Mapped,
     _Ranking,
     _Slice,
-    _Top,
     tabulate,
 )
 from contractmatch.corpus import (
@@ -358,7 +358,7 @@ def test_lattice_laws_beyond_the_oracle_bound(k, seed):
     and the meet of the two extremes is the side-2-optimal agreement.
     """
     inst = build_marriage_instance(*random_marriage_profile(seed, k, k))
-    assert all(type(a) is _Top for f in (inst.f1, inst.f2) for a in f._agents)
+    assert hasattr(inst.f1, "_rank") and hasattr(inst.f2, "_rank")
     best1, best2 = run(inst, 1).chosen, run(inst, 2).chosen
     assert best1 != best2
     rng = random.Random(seed)
@@ -541,16 +541,15 @@ def _counted(f: AggregateChoice, tally: list[int]) -> AggregateChoice:
 
 def _count_ranking_calls(monkeypatch, method: str) -> list[int]:
     """Count, in the returned one-item tally, the calls of ``method`` on
-    both ranking evaluators, :class:`_Ranking` and :class:`_Top`."""
+    the ranking evaluator, :class:`_Ranking`."""
     calls = [0]
-    for cls in (_Ranking, _Top):
-        original = getattr(cls, method)
+    original = getattr(_Ranking, method)
 
-        def counting(self, *args, original=original):
-            calls[0] += 1
-            return original(self, *args)
+    def counting(self, *args):
+        calls[0] += 1
+        return original(self, *args)
 
-        monkeypatch.setattr(cls, method, counting)
+    monkeypatch.setattr(_Ranking, method, counting)
     return calls
 
 
@@ -698,7 +697,7 @@ def _unit_demand_market(rng: random.Random) -> Instance:
     """Producers ranking their contracts, consumers of one template who keep
     the cheapest affordable one.  Every consumer has an affordable and an
     unaffordable contract, so each consumer's ``piece`` is smaller than its
-    slice, and both sides are made of ``_Top`` agents."""
+    slice, and both sides are made of Gale-Shapley agents."""
     producers = [f"p{i}" for i in range(rng.randint(1, 5))]
     consumers = [f"c{j}" for j in range(rng.randint(1, 5))]
     grid, willingness = (1, 2, 3, 4, 5), {"t": 3}
@@ -746,7 +745,7 @@ def test_cursor_rounds_give_the_generic_runs():
     random pools."""
     rng = random.Random(7)
     for inst in _cursor_cases():
-        assert inst.f1._all_top and inst.f2._all_top
+        assert hasattr(inst.f1, "_rank") and hasattr(inst.f2, "_rank")
         generic = _generic(inst)
         for proposer in (1, 2):
             for pool in (None, rng.getrandbits(inst.n), rng.getrandbits(inst.n)):
@@ -754,9 +753,10 @@ def test_cursor_rounds_give_the_generic_runs():
 
 
 def test_cursor_rounds_are_taken_by_two_sides_of_top_agents_only(monkeypatch):
-    """A side qualifies when every agent is exactly a ``_Top``: one
-    ``_Ranking``, ``_Slice`` or ``_Mapped`` agent, or a wrapped side, sends
-    the run through the generic rounds."""
+    """A side qualifies when every agent is a ``_Ranking`` of one order with
+    quota 1: one agent of quota 2 or of two orders, one ``_Slice`` or
+    ``_Mapped`` agent, or a wrapped side, sends the run through the generic
+    rounds."""
     calls = []
     original = AggregateChoice.cursor_rounds
 
@@ -773,13 +773,13 @@ def test_cursor_rounds_are_taken_by_two_sides_of_top_agents_only(monkeypatch):
     first = inst.f1.parts[0]
     for spec, evaluator in (
         (ResponsiveQuota(4, first.spec.order, 2), _Ranking),
+        (UnionOfOrders(4, (first.spec.order, first.spec.order[::-1])), _Ranking),
         (Identity(4), _Slice),
         (tabulate(first.spec), _Mapped),
     ):
         parts = (dataclasses.replace(first, spec=spec), *inst.f1.parts[1:])
         side = AggregateChoice(inst.n, parts)
-        assert type(side._agents[0]) is evaluator and not side._all_top
-        assert not hasattr(side, "_rank")
+        assert type(side._agents[0]) is evaluator and not hasattr(side, "_rank")
         for proposer in (1, 2):
             run(dataclasses.replace(inst, f1=side), proposer)
     for proposer in (1, 2):
@@ -817,14 +817,15 @@ def test_cursor_rounds_read_each_proposer_entry_at_most_once():
             for pool in (inst.universe, rng.getrandbits(inst.n)):
                 expected = run(inst, proposer, pool).trace
                 propose, other = inst.side(proposer), inst.side(3 - proposer)
-                logs = [ReadLog(agent.tail) for agent in propose._agents]
-                for agent, log in zip(propose._agents, logs):
-                    agent.tail = log
+                splits = [agent.splits for agent in propose._agents]
+                logs = [ReadLog(tail) for ((_, tail),) in splits]
+                for agent, ((top, _),), log in zip(propose._agents, splits, logs):
+                    agent.splits = ((top, log),)
                 try:
                     rounds = propose.cursor_rounds(other, pool)
                 finally:
-                    for agent, log in zip(propose._agents, logs):
-                        agent.tail = log.tail
+                    for agent, kept in zip(propose._agents, splits):
+                        agent.splits = kept
                 assert Trace(*map(tuple, rounds)) == expected
                 for log in logs:
                     assert len(set(log.reads)) == len(log.reads)
@@ -832,7 +833,7 @@ def test_cursor_rounds_read_each_proposer_entry_at_most_once():
 
 
 def test_rank_is_each_contracts_place_in_its_owners_order():
-    """A side of ``_Top`` agents ranks each contract by its owner's order,
+    """A side of Gale-Shapley agents ranks each contract by its owner's order,
     read from the agent's spec: 0 for the first entry, ``n`` exactly for
     the contracts outside the owner's piece (a unit-demand consumer's
     unaffordable ones)."""
@@ -930,9 +931,10 @@ def test_the_rank_verdict_on_a_256x256_market():
 
 def test_the_rank_verdict_is_taken_by_two_sides_of_top_agents_only(monkeypatch):
     """The verdict, whether reached from ``run``, ``is_stable_set`` or
-    ``meet``'s input checks, is read from the ranks when both sides are all
-    ``_Top``: one ``_Ranking``, ``_Slice`` or ``_Mapped`` agent, or a
-    wrapped side, sends it through ``kept_additions``."""
+    ``meet``'s input checks, is read from the ranks when both sides are made
+    of one-order, quota-1 ``_Ranking`` agents: one agent of quota 2 or of
+    two orders, one ``_Slice`` or ``_Mapped`` agent, or a wrapped side,
+    sends it through ``kept_additions``."""
     calls, kept = [], _count_ranking_calls(monkeypatch, "_kept_additions")
     original = AggregateChoice.rank_blocker
 
@@ -956,11 +958,12 @@ def test_the_rank_verdict_is_taken_by_two_sides_of_top_agents_only(monkeypatch):
         first, *others = getattr(inst, which).parts
         for spec, evaluator in (
             (ResponsiveQuota(4, first.spec.order, 2), _Ranking),
+            (UnionOfOrders(4, (first.spec.order, first.spec.order[::-1])), _Ranking),
             (Identity(4), _Slice),
             (tabulate(first.spec), _Mapped),
         ):
             side = AggregateChoice(inst.n, (dataclasses.replace(first, spec=spec), *others))
-            assert type(side._agents[0]) is evaluator and not side._all_top
+            assert type(side._agents[0]) is evaluator and not hasattr(side, "_rank")
             mixed = dataclasses.replace(inst, **{which: side})
             kept[0] = 0
             is_stable_set(mixed, run(mixed, 1).chosen)
