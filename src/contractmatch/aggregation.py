@@ -15,18 +15,17 @@ who owns each contract: :meth:`AggregateChoice.owners` names each
 contract's agent, and an :class:`~contractmatch.engine.Instance` with two
 aggregate sides reads its labels from them.  :class:`AggregateChoice`
 writes each agent in global ids once, when the side is built (see
-``ChoiceFunction._relabelled``): a ranking or market consumer becomes a
-``_Ranking``, a top mask and a tail walk per order, a filter or market
-producer a mask over global ids, and only tables, valuations and foreign
-subclasses map ids on each call.  Its ``kept_additions`` asks each owner
-once about all of its candidates, and its ``rechoose`` evaluates only the
-agents whose share of the menu changed.  A ranking or filter agent whose
-share only lost contracts it had rejected is skipped too: it is coherent by
-construction, so that loss cannot change its choice (``ignores_rejected``
-in :mod:`contractmatch.choice`).  Tables, valuations and other evaluators
-are re-evaluated on any change.  The side keeps one complement mask per
-agent (the universe minus its slice), so each agent touched costs a
-constant number of full-width mask operations.  A side made only of
+``ChoiceFunction._relabelled``): a ranking or filter, the market's agents
+included, becomes a ``_Ranking``, a top mask and a tail walk per order, and
+only tables, valuations and foreign subclasses map ids on each call.  Its
+``kept_additions`` asks each owner once about all of its candidates, and
+its ``rechoose`` evaluates only the agents whose share of the menu changed.
+A ``_Ranking`` agent whose share only lost contracts it had rejected is
+skipped too: it is coherent by construction, so that loss cannot change
+its choice.  Tables, valuations and other evaluators are re-evaluated on
+any change.  The side keeps one complement mask per agent (the universe
+minus its slice), so each agent touched costs a constant number of
+full-width mask operations.  A side made only of
 Gale-Shapley agents (each a ``_Ranking`` with quota 1 and one order with a
 non-empty top, decided when the side is built) also keeps each contract's
 rank in its owner's order (``_rank``), and can run deferred acceptance
@@ -138,7 +137,7 @@ class AggregateChoice(ChoiceFunction):
         # The slices of the agents that rechoose must re-evaluate on any change.
         unsure = 0
         for agent, piece in zip(agents, slices):
-            if not getattr(agent, "ignores_rejected", False):
+            if type(agent) is not _Ranking:
                 unsure |= piece
         universe = full_mask(self.n)
         object.__setattr__(self, "_owner", array(code, owner))
@@ -184,9 +183,10 @@ class AggregateChoice(ChoiceFunction):
         """Every agent whose share of ``subset`` equals its share of
         ``prev_subset`` keeps its part of ``prev_choice``: exact for any
         agent function, since an agent only ever chooses from its own slice.
-        So does a ranking or filter agent whose share only lost contracts
-        outside ``prev_choice``: it is coherent by construction, and
-        removing rejected contracts cannot change its choice.
+        So does a ``_Ranking`` agent (a ranking or filter) whose share only
+        lost contracts outside ``prev_choice``: it is coherent by
+        construction, and removing rejected contracts cannot change its
+        choice.
         """
         if subset >> self.n:
             raise DomainError(f"subset {subset:#x} lies outside the {self.n}-contract universe")

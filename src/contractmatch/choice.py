@@ -23,21 +23,22 @@ evaluate only the agents concerned.
 The rankings (:class:`TopOfOrder`, :class:`ResponsiveQuota`,
 :class:`UnionOfOrders`, the market's unit-demand consumer) all choose "the
 ``quota`` best available contracts of each order", where "``x`` is kept
-from ``S | {x}``" is one rank threshold.  One evaluator, ``_Ranking``,
-does this for every shape: each order is split once into a top mask (its
-first ``quota`` contracts) and a tail, so a menu holding the whole top is
-answered by mask operations alone and only the tail is walked, for the
-members the top lacks.  A Gale-Shapley agent is its one-order, quota-1
-case.  ``_relabelled`` fits a function to a slice of a larger universe: a
-ranking is rewritten in global ids once, :class:`Identity` and the
-market's linear producer become a mask, and only tables, valuations and
-foreign subclasses are evaluated through a per-call id mapping of their
-``choose_mask`` and ``kept_additions``.
-The ranking and filter evaluators are marked ``ignores_rejected``: they are
-coherent by construction, so a menu that only lost contracts they did not
-choose leaves their choice unchanged (the irrelevance of rejected
-contracts), and ``rechoose`` may skip them.  Any other evaluator, tables
-above all, may break rejection consistency and is never skipped.
+from ``S | {x}``" is one rank threshold.  So do the filters
+(:class:`Identity`, the market's linear producer): one order of the
+contracts they keep, whose quota is its length.  One evaluator,
+``_Ranking``, does this for every shape: each order is split once into a
+top mask (its first ``quota`` contracts) and a tail, so a menu holding the
+whole top is answered by mask operations alone and only the tail is
+walked, for the members the top lacks.  A Gale-Shapley agent is its
+one-order, quota-1 case.  ``_relabelled`` fits a function to a slice of a
+larger universe: a ranking or filter is rewritten in global ids once, and
+only tables, valuations and foreign subclasses are evaluated through a
+per-call id mapping of their ``choose_mask`` and ``kept_additions``
+(``_Mapped``).  A ``_Ranking`` is coherent by construction, so a menu that
+only lost contracts it did not choose leaves its choice unchanged (the
+irrelevance of rejected contracts), and an aggregate's ``rechoose`` may
+skip it.  Any other evaluator, tables above all, may break rejection
+consistency and is never skipped.
 """
 
 from __future__ import annotations
@@ -105,9 +106,7 @@ class ChoiceFunction:
         The evaluator's ``_choose(subset)`` and ``_kept_additions(subset,
         candidates)`` take and return global masks that lie within the larger
         universe, and answer for ``subset & piece`` and ``candidates & piece``
-        only.  An evaluator whose class sets ``ignores_rejected = True``
-        promises that removing contracts it did not choose never changes its
-        choice.  This default maps each call's masks to local ids and back.
+        only.  This default maps each call's masks to local ids and back.
         """
         return _Mapped(self, ids, piece)
 
@@ -156,15 +155,15 @@ class _Ranking:
     holds each order split once into its *top* (the mask of its first
     ``quota`` contracts) and its *tail* (the rest, in order), so the top is
     answered by one mask operation and only the tail is walked, for the
-    members the top lacks.  Coherent by construction, so removing contracts
-    it did not choose never changes its choice (``ignores_rejected``).
-    With quota 1 and one order (a Gale-Shapley agent), an aggregate side
-    reads ``splits[0]`` directly to run deferred acceptance and the
-    stability verdict by rank (see :mod:`contractmatch.aggregation`).
+    members the top lacks.  The evaluator of every ranking and filter;
+    coherent by construction, so removing contracts it did not choose never
+    changes its choice.  With quota 1 and one order (a Gale-Shapley agent),
+    an aggregate side reads ``splits[0]`` directly to run deferred
+    acceptance and the stability verdict by rank (see
+    :mod:`contractmatch.aggregation`).
     """
 
     __slots__ = ("splits", "quota", "piece")
-    ignores_rejected = True
 
     def __init__(self, splits: Sequence[tuple[int, Sequence[int]]], quota: int, piece: int):
         self.splits, self.quota, self.piece = splits, quota, piece
@@ -209,23 +208,6 @@ class _Ranking:
         return candidates & better
 
 
-class _Slice:
-    """:class:`Identity` on ``piece``: every contract of it is chosen, so
-    removing contracts it did not choose never changes its choice."""
-
-    __slots__ = ("piece",)
-    ignores_rejected = True
-
-    def __init__(self, piece: int):
-        self.piece = piece
-
-    def _choose(self, subset: int) -> int:
-        return subset & self.piece
-
-    def _kept_additions(self, subset: int, candidates: int) -> int:
-        return candidates & self.piece
-
-
 class _RankingChoice(ChoiceFunction):
     """A variant that chooses the ``quota`` best available contracts of each
     of its orders, given by ``_orders_and_quota``.  Its own calls and its
@@ -233,6 +215,12 @@ class _RankingChoice(ChoiceFunction):
 
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         raise NotImplementedError
+
+    def _ranked(self) -> int | None:
+        """The local mask of the contracts its orders rank, when they rank
+        only part of the universe; ``None``: the whole universe.  A contract
+        no order ranks is never chosen."""
+        return None
 
     @cached_property
     def _ranking(self) -> _Ranking:
@@ -248,8 +236,12 @@ class _RankingChoice(ChoiceFunction):
 
     def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
         """Each order split once, from local ids, into its top mask and its
-        tail as a compact array of global ids."""
+        tail as a compact array of global ids; the evaluator's piece is the
+        ranked part of ``piece``."""
         orders, quota = self._orders_and_quota()
+        ranked = self._ranked()
+        if ranked is not None:
+            piece = _lift(ids, ranked)
         code = "H" if piece.bit_length() <= 1 << 16 else "L"
         # From a list: see AggregateChoice.__post_init__.
         splits = tuple([
@@ -261,16 +253,14 @@ class _RankingChoice(ChoiceFunction):
 
 
 @dataclass(frozen=True)
-class Identity(ChoiceFunction):
-    """Chooses every offered contract: ``f(A) = A``.  Trivially coherent."""
+class Identity(_RankingChoice):
+    """Chooses every offered contract: ``f(A) = A``.  Trivially coherent: a
+    ranking of one order, of every contract, whose quota is its length."""
 
     n: int
 
-    def _choose(self, subset: int) -> int:
-        return subset
-
-    def _relabelled(self, ids: Sequence[int], piece: int) -> _Slice:
-        return _Slice(piece)
+    def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
+        return (range(self.n),), self.n
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from . import limits
 from .aggregation import aggregate_side
-from .choice import ChoiceFunction, _lift, _Ranking, _RankingChoice, _Slice
+from .choice import _RankingChoice
 from .engine import Instance
 from .errors import SizeBoundError, SpecError
 from .preference import COHERENCE_ASSERTED
@@ -327,11 +327,12 @@ def check_two_prices(economy: MoneyEconomy, subset: int) -> TwoPriceReport:
 
 
 @dataclass(frozen=True)
-class LinearProducerChoice(ChoiceFunction):
+class LinearProducerChoice(_RankingChoice):
     """Keeps every contract priced at or above its template's unit cost.
 
     An independent accept/reject filter, hence coherent and money-monotone
-    by construction.
+    by construction.  A ranking: one order of the kept contracts (``keep``),
+    whose quota is its length.
     """
 
     n: int
@@ -342,11 +343,12 @@ class LinearProducerChoice(ChoiceFunction):
         if self.keep < 0 or self.keep >> self.n:
             raise SpecError(f"keep mask {self.keep:#x} leaves the {self.n}-contract universe")
 
-    def _choose(self, subset: int) -> int:
-        return subset & self.keep
+    def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
+        kept = ids_of(self.keep)
+        return (kept,), len(kept)
 
-    def _relabelled(self, ids: Sequence[int], piece: int) -> _Slice:
-        return _Slice(_lift(ids, self.keep))
+    def _ranked(self) -> int:
+        return self.keep
 
 
 @dataclass(frozen=True)
@@ -364,15 +366,19 @@ class UnitDemandConsumerChoice(_RankingChoice):
     willingness: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        if not all(0 <= cid < self.n for pick in self.picks for cid in pick):
+        listed = [cid for pick in self.picks for cid in pick]
+        if not all(0 <= cid < self.n for cid in listed):
             raise SpecError(f"picks {self.picks} leave the {self.n}-contract universe")
+        if len(set(listed)) != len(listed):
+            twice = next(cid for cid in listed if listed.count(cid) > 1)
+            raise SpecError(f"picks {self.picks} list contract {twice} more than once")
 
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         return self.picks, 1
 
-    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
-        """Its piece is the affordable contracts: a lone unaffordable one is not chosen."""
-        return super()._relabelled(ids, _lift(ids, mask_of(chain.from_iterable(self.picks))))
+    def _ranked(self) -> int:
+        """The affordable contracts: a lone unaffordable one is not chosen."""
+        return mask_of(chain.from_iterable(self.picks))
 
 
 def build_linear_producer(

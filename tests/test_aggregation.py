@@ -151,7 +151,8 @@ def test_label_locality():
 
 class GlobalTable:
     """A table written in global ids, as an evaluator from an outside
-    ``_relabelled`` would be: unmarked, so never skipped by ``rechoose``."""
+    ``_relabelled`` would be: not a ``_Ranking``, so never skipped by
+    ``rechoose``."""
 
     def __init__(self, entries, ids, piece):
         def lift(local):

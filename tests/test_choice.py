@@ -202,8 +202,8 @@ def _market_agents(rng: random.Random, k: int) -> list[ChoiceFunction]:
 def test_ranking_evaluator_matches_the_generic_paths(k):
     """The threshold walk of ``_kept_additions`` against the base-class loop
     over ``choose_mask``, and each relabelled evaluator on a scattered slice
-    of a 10-contract universe against the base mapping evaluator.  Market
-    agents are the ranking and slice evaluators too."""
+    of a 10-contract universe against the base mapping evaluator.  Filters
+    (identity, market producers) and market consumers are rankings too."""
     rng = random.Random(k)
     ids = tuple(sorted(rng.sample(range(10), k)))
     piece = mask_of(ids)
@@ -253,9 +253,8 @@ class _QuotaOfOrders(_RankingChoice):
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         return self.orders, self.quota
 
-    def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
-        ranked = mask_of(ids[c] for order in self.orders for c in order)
-        return super()._relabelled(ids, ranked)
+    def _ranked(self) -> int:
+        return mask_of(c for order in self.orders for c in order)
 
 
 def _large_menus(rng: random.Random, k: int) -> list[int]:
@@ -372,13 +371,15 @@ def _consumer(templates: tuple[str, ...], k: int, pay: int = 16) -> UnitDemandCo
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_one_order_quota_1_rankings_get_the_top_evaluator(k):
-    """Every ranking, whatever its shape, is relabelled to a
-    :class:`_Ranking`.  An aggregate side made of one-order, quota-1
-    rankings has ``_rank``, the mark of the rank paths; one agent of any
+def test_one_order_quota_1_agents_give_a_side_rank_arrays(k):
+    """Every ranking and filter, whatever its shape, is relabelled to a
+    :class:`_Ranking`.  An aggregate side made of one-order, quota-1 agents
+    has ``_rank``, the mark of the rank paths: rankings, the identity on one
+    contract and a producer keeping one contract of three.  One agent of any
     other shape takes it away: quota 0, 2 or k+1, two orders, a
-    two-template consumer, an empty order, or a consumer that can afford
-    nothing (no order at all)."""
+    two-template consumer, an empty order, the identity on three contracts,
+    a producer keeping none or two, or a consumer that can afford nothing
+    (no order at all)."""
     rng = random.Random(k)
     order = tuple(rng.sample(range(k), k))
     tops = [
@@ -386,12 +387,17 @@ def test_one_order_quota_1_rankings_get_the_top_evaluator(k):
         ResponsiveQuota(k, order, 1),
         UnionOfOrders(k, (order,)),
         _consumer(("t1",), k),
+        Identity(1),
+        LinearProducerChoice(3, 0b010, ()),
     ]
     others = [
         *(ResponsiveQuota(k, order, q) for q in (0, 2, k + 1)),
         UnionOfOrders(k, (order, order[::-1])),
         _consumer(("t1", "t2"), max(k, 2)),
         TopOfOrder(0, ()),
+        Identity(3),
+        LinearProducerChoice(3, 0, ()),
+        LinearProducerChoice(3, 0b101, ()),
         _consumer(("t1",), k, pay=9),
     ]
     assert others[-1]._orders_and_quota() == ((), 1)  # no affordable contract: no order
@@ -414,7 +420,7 @@ def test_one_order_quota_1_rankings_get_the_top_evaluator(k):
 
 
 @pytest.mark.parametrize("k", [*range(1, 9), 40, 64])
-def test_top_evaluator_matches_a_quota_1_ranking(k):
+def test_one_order_quota_1_ranking_matches_its_order(k):
     """A :class:`TopOfOrder` relabelled onto a scattered slice of a
     3k-contract universe against a reference read from the order itself, on
     every menu and candidate set up to k = 8, and on dense, sparse and

@@ -52,6 +52,11 @@ def test_canonical_f1_other_axioms():
     assert not report.coherent
     assert report.cross_check_ok
     assert len(report.path_independence) > 0
+    assert report.describe(("a", "b")).splitlines() == [
+        "NOT coherent:",
+        "  substitutes: b chosen from {a, b} but not from {b}",
+        "  path-independence: f({b} | {a}) != f(f({b}) | {a})",
+    ]
 
 
 def test_canonical_f2_coherent():
@@ -60,6 +65,7 @@ def test_canonical_f2_coherent():
     assert report.coherent
     assert report.cross_check_ok
     assert report.all_violations() == ()
+    assert report.describe(("a", "b")) == "coherent"
 
 
 def test_witness_does_not_replay_on_other_function():

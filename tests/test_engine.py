@@ -26,7 +26,6 @@ from contractmatch.choice import (
     UnionOfOrders,
     _Mapped,
     _Ranking,
-    _Slice,
     tabulate,
 )
 from contractmatch.corpus import (
@@ -59,7 +58,11 @@ from contractmatch.errors import (
 )
 from contractmatch.generators import random_instance, random_marriage_profile
 from contractmatch.instancefile import load
-from contractmatch.market import MarketContract, build_unit_demand_consumer
+from contractmatch.market import (
+    LinearProducerChoice,
+    MarketContract,
+    build_unit_demand_consumer,
+)
 from contractmatch.oracle import (
     brute_glb,
     brute_lub,
@@ -726,9 +729,38 @@ def _unit_demand_market(rng: random.Random) -> Instance:
     return Instance(auto_names(len(contracts)), f1, f2)
 
 
+def _filter_market(rng: random.Random) -> Instance:
+    """Nine contracts between rankings and filters that are Gale-Shapley
+    agents.  Side 1: two ``TopOfOrder`` agents, the identity on one
+    contract, and a producer keeping one contract of its three (the other
+    two are outside its piece).  Side 2: two ``TopOfOrder`` agents and the
+    identity on one contract, owning random contracts."""
+    f1 = aggregate_side(
+        {
+            "a": TopOfOrder(3, tuple(rng.sample(range(3), 3))),
+            "b": TopOfOrder(2, tuple(rng.sample(range(2), 2))),
+            "i": Identity(1),
+            "p": LinearProducerChoice(3, 1 << rng.randrange(3), ()),
+        },
+        ["a"] * 3 + ["b"] * 2 + ["i"] + ["p"] * 3,
+    )
+    owners = ["c"] * 4 + ["d"] * 4 + ["j"]
+    rng.shuffle(owners)
+    f2 = aggregate_side(
+        {
+            "c": TopOfOrder(4, tuple(rng.sample(range(4), 4))),
+            "d": TopOfOrder(4, tuple(rng.sample(range(4), 4))),
+            "j": Identity(1),
+        },
+        owners,
+    )
+    return Instance(auto_names(9), f1, f2)
+
+
 def _cursor_cases():
     """Seeded instances whose two sides take the cursor rounds: square and
-    rectangular marriage markets, and unit-demand markets."""
+    rectangular marriage markets, unit-demand markets, and markets mixing
+    ``TopOfOrder`` agents with one-contract filters."""
     rng = random.Random(15)
     for k in (*range(1, 10), 16, 32):
         for m in {k, rng.randint(1, 12)}:
@@ -736,13 +768,15 @@ def _cursor_cases():
                 yield build_marriage_instance(*random_marriage_profile(seed + 100 * k, k, m))
     for _ in range(300):
         yield _unit_demand_market(rng)
+    for _ in range(30):
+        yield _filter_market(rng)
 
 
 def test_cursor_rounds_give_the_generic_runs():
-    """Two sides of ``_Top`` agents run the whole run, round 0 included, in
-    ``cursor_rounds``; the generic rounds, reached by wrapping the sides,
-    give the same outcome, trace and verdicts, from the universe and from
-    random pools."""
+    """Two sides of Gale-Shapley agents (one-order, quota-1 ``_Ranking``
+    agents) run the whole run, round 0 included, in ``cursor_rounds``; the
+    generic rounds, reached by wrapping the sides, give the same outcome,
+    trace and verdicts, from the universe and from random pools."""
     rng = random.Random(7)
     for inst in _cursor_cases():
         assert hasattr(inst.f1, "_rank") and hasattr(inst.f2, "_rank")
@@ -754,9 +788,9 @@ def test_cursor_rounds_give_the_generic_runs():
 
 def test_cursor_rounds_are_taken_by_two_sides_of_top_agents_only(monkeypatch):
     """A side qualifies when every agent is a ``_Ranking`` of one order with
-    quota 1: one agent of quota 2 or of two orders, one ``_Slice`` or
-    ``_Mapped`` agent, or a wrapped side, sends the run through the generic
-    rounds."""
+    quota 1: one agent of quota 2 or of two orders, a filter of four
+    contracts (quota 4), a ``_Mapped`` agent, or a wrapped side, sends the
+    run through the generic rounds."""
     calls = []
     original = AggregateChoice.cursor_rounds
 
@@ -774,7 +808,7 @@ def test_cursor_rounds_are_taken_by_two_sides_of_top_agents_only(monkeypatch):
     for spec, evaluator in (
         (ResponsiveQuota(4, first.spec.order, 2), _Ranking),
         (UnionOfOrders(4, (first.spec.order, first.spec.order[::-1])), _Ranking),
-        (Identity(4), _Slice),
+        (Identity(4), _Ranking),
         (tabulate(first.spec), _Mapped),
     ):
         parts = (dataclasses.replace(first, spec=spec), *inst.f1.parts[1:])
@@ -901,9 +935,10 @@ def _verdict_subsets(inst: Instance, rng: random.Random):
 
 
 def test_the_rank_verdict_gives_the_generic_verdict():
-    """Two sides of ``_Top`` agents read the singleton verdict from their
-    rank arrays; the wrapped sides' generic verdict gives the same witness
-    on every subset, blocked or not."""
+    """Two sides of Gale-Shapley agents (one-order, quota-1 ``_Ranking``
+    agents) read the singleton verdict from their rank arrays; the wrapped
+    sides' generic verdict gives the same witness on every subset, blocked
+    or not."""
     rng = random.Random(16)
     blocked = stable = 0
     for inst in _cursor_cases():
@@ -933,8 +968,8 @@ def test_the_rank_verdict_is_taken_by_two_sides_of_top_agents_only(monkeypatch):
     """The verdict, whether reached from ``run``, ``is_stable_set`` or
     ``meet``'s input checks, is read from the ranks when both sides are made
     of one-order, quota-1 ``_Ranking`` agents: one agent of quota 2 or of
-    two orders, one ``_Slice`` or ``_Mapped`` agent, or a wrapped side,
-    sends it through ``kept_additions``."""
+    two orders, a filter of four contracts (quota 4), a ``_Mapped`` agent,
+    or a wrapped side, sends it through ``kept_additions``."""
     calls, kept = [], _count_ranking_calls(monkeypatch, "_kept_additions")
     original = AggregateChoice.rank_blocker
 
@@ -959,7 +994,7 @@ def test_the_rank_verdict_is_taken_by_two_sides_of_top_agents_only(monkeypatch):
         for spec, evaluator in (
             (ResponsiveQuota(4, first.spec.order, 2), _Ranking),
             (UnionOfOrders(4, (first.spec.order, first.spec.order[::-1])), _Ranking),
-            (Identity(4), _Slice),
+            (Identity(4), _Ranking),
             (tabulate(first.spec), _Mapped),
         ):
             side = AggregateChoice(inst.n, (dataclasses.replace(first, spec=spec), *others))

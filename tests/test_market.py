@@ -96,6 +96,11 @@ def test_no_shortage_spare_copy_clause():
     report = check_no_shortage(econ, catalog.sets)
     # Both members of the unique stable agreement lack identical spares.
     assert {cid for _, cid in report.unmatched} == {0, 1}
+    assert report.describe(econ.instance.names).splitlines()[-2:] == [
+        f"  agreement {{x, y}}: contract {name} has no identical spare copy outside"
+        for name in "xy"
+    ]
+    assert "contract 1 has no identical spare copy outside" in report.describe()
 
 
 def test_no_shortage_passes_on_conforming_builder():
@@ -103,7 +108,9 @@ def test_no_shortage_passes_on_conforming_builder():
         ["p1"], ["c1"], ["t"], [5, 6], {"p1": {"t": 5}}, {"c1": {"t": 6}}
     )
     catalog = enumerate_stable_agreements(econ.instance)
-    assert check_no_shortage(econ, catalog.sets).ok
+    report = check_no_shortage(econ, catalog.sets)
+    assert report.ok
+    assert report.describe(econ.instance.names) == "no-shortage: OK"
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +127,9 @@ def test_money_monotone_passes_on_builders():
         {"p1": {"t": 5}, "p2": {"t": 8}},
         {"c1": {"t": 7}},
     )
-    assert check_money_monotone(econ).ok
+    report = check_money_monotone(econ)
+    assert report.ok
+    assert report.describe(econ.instance.names) == "money-monotonicity: OK"
 
 
 def test_money_monotone_catches_price_averse_producer():
@@ -145,6 +154,9 @@ def test_money_monotone_catches_price_averse_producer():
     assert v.side == 1 and v.agent == "p1"
     assert v.kept == 0 and v.candidate == 1
     assert "rejects the pricier" in v.describe(inst.names)
+    lines = report.describe(inst.names).splitlines()
+    assert lines[0] == "money-monotonicity violations:"
+    assert lines[1:] == ["  " + v.describe(inst.names) for v in report.violations]
 
 
 def test_money_monotone_catches_bargain_averse_consumer():
@@ -322,6 +334,14 @@ def test_agents_reject_contracts_outside_their_universe():
             UnitDemandConsumerChoice(2, ((0,), (1, bad)), ())
     assert LinearProducerChoice(2, 0b11, ()).choose_mask(0b10) == 0b10
     assert UnitDemandConsumerChoice(2, ((1, 0),), ()).choose_mask(0b11) == 0b10
+
+
+def test_consumer_refuses_a_contract_listed_twice():
+    """A contract in two places of ``picks`` would have two ranks; within one
+    pick or across picks, the constructor refuses it."""
+    for picks in (((1, 0, 1),), ((0,), (0,))):
+        with pytest.raises(SpecError, match="list contract [01] more than once"):
+            UnitDemandConsumerChoice(2, picks, ())
 
 
 def test_economy_agents_are_evaluated_without_id_mapping():
