@@ -10,10 +10,11 @@ built from coherent agents is coherent.
 Agents' functions are written over their own compact universe
 (``0 .. len(slice)-1``, in ascending order of the global ids they own);
 :class:`AggregatePart` records the translation, holding evenly spaced ids
-(every marriage slice) as a ``range``.  The parts are the only record of
-who owns each contract: :meth:`AggregateChoice.owners` names each
-contract's agent, and an :class:`~contractmatch.engine.Instance` with two
-aggregate sides reads its labels from them.  :class:`AggregateChoice`
+(every marriage slice) as a ``range`` and any others as a tuple.  The
+parts are the only record of who owns each contract:
+:meth:`AggregateChoice.owners` names each contract's agent, and an
+:class:`~contractmatch.engine.Instance` with two aggregate sides reads its
+labels from them.  :class:`AggregateChoice`
 writes each agent in global ids once, when the side is built (see
 ``ChoiceFunction._relabelled``): a ranking or filter, the market's agents
 included, becomes a ``_Ranking``, a top mask and a tail walk per order, and
@@ -60,10 +61,11 @@ class AggregatePart:
     """One agent's share of a side: its name, function, and owned contracts.
 
     ``contract_ids`` lists the agent's global contract ids ascending; local
-    id ``i`` of ``spec`` corresponds to ``contract_ids[i]``.  Evenly spaced
-    ids are held as a ``range``, whichever sequence was given, so a part
-    keeps no per-contract object for a contiguous or strided slice, and
-    parts that own the same ids compare equal.
+    id ``i`` of ``spec`` corresponds to ``contract_ids[i]``.  Whichever
+    sequence was given, evenly spaced ids are held as a ``range``, so a part
+    keeps no per-contract object for a contiguous or strided slice, and any
+    other ids as a tuple: parts that own the same ids compare and hash
+    equal.
     """
 
     agent: str
@@ -74,10 +76,10 @@ class AggregatePart:
         ids = self.contract_ids
         if list(ids) != sorted(set(ids)):
             raise SpecError(f"agent {self.agent!r}: contract ids must be ascending and unique")
-        if ids and not isinstance(ids, range):
-            even = range(ids[0], ids[-1] + 1, ids[1] - ids[0] if len(ids) > 1 else 1)
-            if tuple(even) == tuple(ids):
-                object.__setattr__(self, "contract_ids", even)
+        if not isinstance(ids, range):
+            ids = tuple(ids)
+            even = ids and range(ids[0], ids[-1] + 1, ids[1] - ids[0] if len(ids) > 1 else 1)
+            object.__setattr__(self, "contract_ids", even if tuple(even) == ids else ids)
         if self.spec.n != len(self.contract_ids):
             raise SpecError(
                 f"agent {self.agent!r}: function covers {self.spec.n} contracts,"

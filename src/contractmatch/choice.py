@@ -34,11 +34,13 @@ one-order, quota-1 case.  ``_relabelled`` fits a function to a slice of a
 larger universe: a ranking or filter is rewritten in global ids once, and
 only tables, valuations and foreign subclasses are evaluated through a
 per-call id mapping of their ``choose_mask`` and ``kept_additions``
-(``_Mapped``).  A ``_Ranking`` is coherent by construction, so a menu that
-only lost contracts it did not choose leaves its choice unchanged (the
-irrelevance of rejected contracts), and an aggregate's ``rechoose`` may
-skip it.  Any other evaluator, tables above all, may break rejection
-consistency and is never skipped.
+(``_Mapped``).  A contract that no order ranks (one a market agent does
+not keep or cannot afford) is never chosen: the evaluator's piece is the
+contracts its orders rank.  A ``_Ranking`` is coherent by construction,
+so a menu that only lost contracts it did not choose leaves its choice
+unchanged (the irrelevance of rejected contracts), and an aggregate's
+``rechoose`` may skip it.  Any other evaluator, tables above all, may
+break rejection consistency and is never skipped.
 """
 
 from __future__ import annotations
@@ -216,12 +218,6 @@ class _RankingChoice(ChoiceFunction):
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         raise NotImplementedError
 
-    def _ranked(self) -> int | None:
-        """The local mask of the contracts its orders rank, when they rank
-        only part of the universe; ``None``: the whole universe.  A contract
-        no order ranks is never chosen."""
-        return None
-
     @cached_property
     def _ranking(self) -> _Ranking:
         """The evaluator over local ids, built on the first direct call: an
@@ -236,12 +232,12 @@ class _RankingChoice(ChoiceFunction):
 
     def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
         """Each order split once, from local ids, into its top mask and its
-        tail as a compact array of global ids; the evaluator's piece is the
-        ranked part of ``piece``."""
+        tail as a compact array of global ids.  The evaluator's piece is the
+        contracts some order ranks: ``piece`` itself when an order ranks all
+        ``n`` contracts; a contract no order ranks is never chosen."""
         orders, quota = self._orders_and_quota()
-        ranked = self._ranked()
-        if ranked is not None:
-            piece = _lift(ids, ranked)
+        if all(len(order) < self.n for order in orders):
+            piece = mask_of([ids[c] for order in orders for c in order])
         code = "H" if piece.bit_length() <= 1 << 16 else "L"
         # From a list: see AggregateChoice.__post_init__.
         splits = tuple([

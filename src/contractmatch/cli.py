@@ -502,9 +502,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except SizeBoundError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3

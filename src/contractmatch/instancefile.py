@@ -13,10 +13,13 @@ or a partition into agents, each with its own function over its slice::
                                 "choice": {"variant": "top_of_order",
                                            "order": ["m1_w1", "m1_w2"]}}}}
 
-Within a block, contracts are referred to by name; subsets are arrays of
-names.  Exact rationals are written as ints or ``"[-]p[/q]"`` strings of
-decimal digits (floats, exponents and decimals are rejected).  Unknown
-variant tags and malformed payloads raise
+Within a block, contracts are referred to by name; subsets, orders and
+agent slices are arrays of names.  Each array is read straight into
+contract ids (an agent's slice is never a full-width mask), and a valid one
+is checked at C speed, so loading takes time linear in the file.  Exact
+rationals are written as ints or ``"[-]p[/q]"`` strings of decimal digits
+(floats, exponents and decimals are rejected).  Unknown variant tags and
+malformed payloads raise
 :class:`~contractmatch.errors.ParseError` carrying the dotted position of
 the offending element, and so does a file that the JSON decoder refuses
 for its nesting depth or an integer's length.
@@ -47,7 +50,7 @@ from .choice import (
 )
 from .engine import ContractLabel, Instance
 from .errors import ParseError
-from .sets import format_mask, ids_of, subset_names
+from .sets import format_mask, mask_of, subset_names
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -128,16 +131,25 @@ def _fraction_to_json(value: Fraction) -> int | str:
     return int(value) if value.denominator == 1 else str(value)
 
 
-def _parse_subset(value: Any, index: Mapping[str, int], loc: str) -> int:
+def _parse_names(value: Any, index: Mapping[str, int], loc: str, verb: str) -> list[int]:
+    """The ids of an array of distinct contract names, in the order listed."""
     names = _expect_list(value, loc)
-    mask = 0
-    for i, raw in enumerate(names):
-        name = _expect_str(raw, f"{loc}[{i}]")
-        _expect(name in index, f"unknown contract name {name!r}", f"{loc}[{i}]")
-        b = 1 << index[name]
-        _expect(not mask & b, f"contract {name!r} listed twice", f"{loc}[{i}]")
-        mask |= b
-    return mask
+    try:  # a valid array passes at C speed; only a faulty one is walked, to name its fault
+        ids = list(map(index.__getitem__, names))
+    except (KeyError, TypeError):  # a name that is unknown or not a string
+        ids = []
+    if len(set(ids)) < len(names):
+        seen = set()
+        for i, raw in enumerate(names):
+            name = _expect_str(raw, f"{loc}[{i}]")
+            _expect(name in index, f"unknown contract name {name!r}", f"{loc}[{i}]")
+            _expect(name not in seen, f"contract {name!r} {verb}", f"{loc}[{i}]")
+            seen.add(name)
+    return ids
+
+
+def _parse_subset(value: Any, index: Mapping[str, int], loc: str) -> int:
+    return mask_of(_parse_names(value, index, loc, "listed twice"))
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +276,8 @@ def _parse_spec(
 
 
 def _parse_order(value: Any, index: Mapping[str, int], loc: str) -> tuple[int, ...]:
-    names = _expect_list(value, loc)
-    order = []
-    seen = set()
-    for i, raw in enumerate(names):
-        name = _expect_str(raw, f"{loc}[{i}]")
-        _expect(name in index, f"unknown contract name {name!r}", f"{loc}[{i}]")
-        _expect(name not in seen, f"contract {name!r} ranked twice", f"{loc}[{i}]")
-        seen.add(name)
-        order.append(index[name])
-    missing = sorted(set(index) - seen)
+    order = _parse_names(value, index, loc, "ranked twice")
+    missing = sorted(set(index).difference(value))
     _expect(not missing, f"ranking leaves out {missing}; it must rank every contract", loc)
     return tuple(order)
 
@@ -361,11 +365,15 @@ def parse_document(doc: Any) -> LoadedFile:
     raw_contracts = _expect_list(body.get("contracts"), "contracts")
     _expect(bool(raw_contracts), "need at least one contract", "contracts")
     index: dict[str, int] = {}
-    for i, raw in enumerate(raw_contracts):
-        name = _expect_str(raw, f"contracts[{i}]")
-        _expect(bool(name), "contract names must be non-empty", f"contracts[{i}]")
-        _expect(name not in index, f"duplicate contract name {name!r}", f"contracts[{i}]")
-        index[name] = i
+    if set(map(type, raw_contracts)) == {str}:
+        index = dict(zip(raw_contracts, range(len(raw_contracts))))
+    if len(index) < len(raw_contracts) or "" in index:  # name the first fault
+        index = {}
+        for i, raw in enumerate(raw_contracts):
+            name = _expect_str(raw, f"contracts[{i}]")
+            _expect(bool(name), "contract names must be non-empty", f"contracts[{i}]")
+            _expect(name not in index, f"duplicate contract name {name!r}", f"contracts[{i}]")
+            index[name] = i
     names = list(index)
     n = len(names)
 
@@ -472,9 +480,9 @@ def parse_document(doc: Any) -> LoadedFile:
         ]
         present = [(src, where) for src, where in candidates if src is not None]
         for (first, where_a), (other, where_b) in zip(present, present[1:]):
-            for cid in range(n):
-                _expect(
-                    first[cid] == other[cid],
+            if first != other:
+                cid = next(c for c in range(n) if first[c] != other[c])
+                raise ParseError(
                     f"contract {names[cid]!r} is owned by {first[cid]!r} per {where_a}"
                     f" but {other[cid]!r} per {where_b}",
                     where_b,
@@ -513,21 +521,20 @@ def _parse_agents_block(
 ) -> tuple[AggregateChoice, list[str]]:
     agents_body = _expect_dict(raw_agents, f"{loc}.agents")
     _expect(bool(agents_body), "need at least one agent", f"{loc}.agents")
-    owner: list[str | None] = [None] * len(names)
+    owned: dict[int, str] = {}
     parts = []
     for agent in sorted(agents_body):
         aloc = f"{loc}.agents.{agent}"
         entry = _expect_dict(agents_body[agent], aloc)
-        slice_mask = _parse_subset(entry.get("contracts"), index, f"{aloc}.contracts")
-        _expect(slice_mask != 0, "agent owns no contracts", f"{aloc}.contracts")
-        slice_ids = ids_of(slice_mask)
-        for cid in slice_ids:
-            _expect(
-                owner[cid] is None,
-                f"contract {names[cid]!r} owned by both {owner[cid]!r} and {agent!r}",
-                f"{aloc}.contracts",
+        cloc = f"{aloc}.contracts"
+        slice_ids = sorted(_parse_names(entry.get("contracts"), index, cloc, "listed twice"))
+        _expect(bool(slice_ids), "agent owns no contracts", cloc)
+        if twice := owned.keys() & slice_ids:
+            cid = min(twice)
+            raise ParseError(
+                f"contract {names[cid]!r} owned by both {owned[cid]!r} and {agent!r}", cloc
             )
-            owner[cid] = agent
+        owned.update(dict.fromkeys(slice_ids, agent))
         local_names = [names[cid] for cid in slice_ids]
         market = None
         if market_contracts is not None:
@@ -536,11 +543,10 @@ def _parse_agents_block(
             )
         spec = _parse_spec(entry.get("choice"), local_names, f"{aloc}.choice", side, market)
         parts.append(AggregatePart(agent, spec, slice_ids))
-    missing = [names[cid] for cid, a in enumerate(owner) if a is None]
-    _expect(
-        not missing, f"contracts {missing} are owned by no agent", f"{loc}.agents"
-    )
-    return AggregateChoice(len(names), tuple(parts)), owner  # type: ignore[arg-type]
+    if len(owned) < len(names):
+        missing = [name for cid, name in enumerate(names) if cid not in owned]
+        raise ParseError(f"contracts {missing} are owned by no agent", f"{loc}.agents")
+    return AggregateChoice(len(names), tuple(parts)), list(map(owned.get, range(len(names))))
 
 
 def to_document(

@@ -25,7 +25,7 @@ never violate the law no matter how far apart their numeric values are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from typing import Mapping, Sequence
 
 from . import limits
@@ -332,7 +332,8 @@ class LinearProducerChoice(_RankingChoice):
 
     An independent accept/reject filter, hence coherent and money-monotone
     by construction.  A ranking: one order of the kept contracts (``keep``),
-    whose quota is its length.
+    whose quota is its length; a contract it does not keep is in no order,
+    so it is never chosen.
     """
 
     n: int
@@ -347,9 +348,6 @@ class LinearProducerChoice(_RankingChoice):
         kept = ids_of(self.keep)
         return (kept,), len(kept)
 
-    def _ranked(self) -> int:
-        return self.keep
-
 
 @dataclass(frozen=True)
 class UnitDemandConsumerChoice(_RankingChoice):
@@ -358,7 +356,9 @@ class UnitDemandConsumerChoice(_RankingChoice):
     ``picks[t]`` lists the local candidate ids of template ``t`` by
     ascending (price, id); the first available one is kept.  Cheaper
     contracts displace pricier ones, so the consumer clause of money
-    monotonicity holds by construction.  A ranking: one order per template.
+    monotonicity holds by construction.  A ranking: one order per template,
+    of its affordable contracts; an unaffordable contract is in no pick,
+    so it is never chosen.
     """
 
     n: int
@@ -375,10 +375,6 @@ class UnitDemandConsumerChoice(_RankingChoice):
 
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         return self.picks, 1
-
-    def _ranked(self) -> int:
-        """The affordable contracts: a lone unaffordable one is not chosen."""
-        return mask_of(chain.from_iterable(self.picks))
 
 
 def build_linear_producer(

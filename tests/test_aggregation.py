@@ -78,6 +78,12 @@ def test_evenly_spaced_ids_are_held_as_a_range():
     assert AggregatePart("a", Identity(1), (4,)).contract_ids == range(4, 5)
     uneven = AggregatePart("a", Identity(3), (3, 5, 8))
     assert uneven.contract_ids == (3, 5, 8) and type(uneven.contract_ids) is tuple
+    # Any other sequence of ids is held as one of these two.
+    assert AggregatePart("a", Identity(3), [3, 5, 7]) == strided
+    ranked = TopOfOrder(3, (0, 1, 2))
+    listed, given = AggregatePart("a", ranked, [0, 2, 3]), AggregatePart("a", ranked, (0, 2, 3))
+    assert listed == given and hash(listed) == hash(given)
+    assert type(listed.contract_ids) is tuple
 
 
 def test_given_labels_must_agree_with_the_owners():

@@ -253,9 +253,6 @@ class _QuotaOfOrders(_RankingChoice):
     def _orders_and_quota(self) -> tuple[Sequence[Sequence[int]], int]:
         return self.orders, self.quota
 
-    def _ranked(self) -> int:
-        return mask_of(c for order in self.orders for c in order)
-
 
 def _large_menus(rng: random.Random, k: int) -> list[int]:
     """Dense menus (a few contracts removed), sparse ones (a few present)
@@ -512,6 +509,12 @@ def test_scheme_prices_must_stay_in_range():
             (Fraction(0), Fraction(1)),
             PerturbationScheme(Fraction(0), (Fraction(0),)),
         )
+    with pytest.raises(SpecError, match="scheme prices cover 2 contracts, expected 1"):
+        ValuationArgmax(
+            1,
+            (Fraction(0), Fraction(1)),
+            PerturbationScheme.dyadic(2, Fraction(1, 8)),
+        )
 
 
 def test_scheme_that_cannot_break_ties_rejected():
@@ -543,6 +546,9 @@ def test_for_valuation_derives_safe_epsilon():
 def test_valuation_table_length_must_be_power_of_two():
     with pytest.raises(SpecError, match="power of two"):
         valuation_choice([0, 1, 2])
+    values = tuple(Fraction(v) for v in [0, 1, 2, 3])
+    with pytest.raises(SpecError, match="valuation table covers 2 contracts, expected 3"):
+        ValuationArgmax(3, values, PerturbationScheme.dyadic(3, Fraction(1, 8)))
 
 
 # ---------------------------------------------------------------------------

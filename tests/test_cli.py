@@ -251,6 +251,39 @@ def test_market_json(capsys):
     assert payload["two_prices"]["advisory"] is True
 
 
+def test_market_money_check_reports_each_violation(tmp_path, capsys):
+    """A producer averse to higher prices: it keeps the cheap contract and
+    rejects the pricier one of the same template, alone or offered on top."""
+    from contractmatch.choice import TableChoice
+    from contractmatch.engine import ContractLabel
+    from contractmatch.market import MarketContract, MoneyEconomy
+
+    inst = Instance(
+        names=("cheap", "pricey"),
+        f1=TableChoice(2, (0b00, 0b01, 0b10, 0b01)),
+        f2=Identity(2),
+        labels=(ContractLabel("p1", "c1"),) * 2,
+    )
+    contracts = (MarketContract("p1", "c1", "t", 0), MarketContract("p1", "c1", "t", 2))
+    path = tmp_path / "averse.json"
+    save(path, inst, MoneyEconomy(inst, contracts, (10, 11, 12), ("t",)))
+    violations = [
+        f"producer p1: keeps cheap from {menu} but rejects the pricier"
+        " same-template pricey offered on top"
+        for menu in ("{cheap}", "{cheap, pricey}")
+    ]
+    code, out, _ = run_cli(capsys, "market", str(path), "--check", "money")
+    assert code == 1
+    assert out.splitlines() == ["money-monotone: FAILED"] + [f"  {v}" for v in violations]
+    code, out, _ = run_cli(capsys, "market", str(path), "--check", "money", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload == {"money_monotone": {"ok": False, "violations": violations}, "ok": False}
+    code, out, _ = run_cli(capsys, "validate", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["market"]["money_monotone_violations"] == violations
+
+
 # ---------------------------------------------------------------------------
 # query
 # ---------------------------------------------------------------------------

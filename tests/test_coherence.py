@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -72,6 +73,11 @@ def test_witness_does_not_replay_on_other_function():
     inst = no_stable_agreement_instance()
     (v,) = check_substitutes(inst.f1)
     assert not v.replay(inst.f2)
+    # A pair of menus that is not a counterexample's shape never replays.
+    assert not dataclasses.replace(v, set_a=0b01).replay(inst.f1)  # {b} not within {a}
+    assert not dataclasses.replace(v, set_b=0b01).replay(inst.f1)  # b not in {a}
+    with pytest.raises(ValueError, match="unknown axiom 'mystery'"):
+        dataclasses.replace(v, axiom="mystery").replay(inst.f1)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +102,7 @@ def test_irc_only_violation():
     assert any(v.set_a == 0b11 and v.set_b == 0b01 and v.contract == 1 for v in irc)
     for v in irc:
         assert v.replay(f)
+        assert not v.replay(Identity(2))  # Identity chooses the dropped contract
     assert check_substitutes(f) == []  # nothing chosen from {a,b}: vacuous
     report = check_coherent(f)
     assert not report.coherent and report.cross_check_ok

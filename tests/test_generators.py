@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import hashlib
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from contractmatch.generators import (
     random_instance,
     random_marriage_profile,
     random_money_economy,
+    random_partition,
+    random_valuation,
 )
 from contractmatch.instancefile import dumps_document, to_document
 
@@ -57,6 +60,13 @@ def test_benchmark_inputs_are_pinned(workload, seed, size):
     else:
         instance = build_marriage_instance(*random_marriage_profile(seed, size, size))
     assert _digest(instance) == PINNED[workload, seed, size]
+
+
+def test_generators_refuse_requests_they_cannot_meet():
+    with pytest.raises(ValueError, match="cannot split 3 contracts into 4 non-empty slices"):
+        random_partition(random.Random(0), 3, 4)
+    with pytest.raises(ValueError, match="unknown valuation family 'cubic'"):
+        random_valuation(0, 2, "cubic")
 
 
 # ---------------------------------------------------------------------------

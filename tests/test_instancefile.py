@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from contractmatch.choice import UnionOfOrders, ValuationArgmax
+from contractmatch.choice import ChoiceFunction, Identity, UnionOfOrders, ValuationArgmax
 from contractmatch.corpus import FIXTURE_DIR, no_stable_agreement_instance
 from contractmatch.engine import Instance
 from contractmatch.errors import ParseError
@@ -39,6 +39,7 @@ def test_roundtrip_every_fixture(name):
     doc = to_document(loaded.instance, loaded.economy, loaded.meta)
     again = parse_document(doc)
     assert again.instance == loaded.instance
+    assert hash(again.instance) == hash(loaded.instance)
     assert again.economy == loaded.economy
     assert again.meta == loaded.meta
     # Serialization is a fixpoint: dump(parse(dump(x))) == dump(x).
@@ -277,6 +278,131 @@ def test_market_missing_tuple():
     assert "no market tuple for contract 'b'" in str(_error(doc))
 
 
+def _agents(**slices):
+    """A choice block of identity agents, each owning the names given."""
+    return {
+        "agents": {
+            agent: {"contracts": names, "choice": {"variant": "identity"}}
+            for agent, names in slices.items()
+        }
+    }
+
+
+def _market(**producers):
+    """A one-price market section naming each contract's producer."""
+    return {
+        "prices": [1],
+        "templates": ["t"],
+        "tuples": {
+            name: {"producer": p, "consumer": "c", "template": "t", "price": 1}
+            for name, p in producers.items()
+        },
+    }
+
+
+def _side1(block, **overrides):
+    return _doc(choice={"side1": block, "side2": {"variant": "identity"}}, **overrides)
+
+
+AGENT = "choice.side1.agents.p.contracts"
+
+LOADER_MESSAGES = {
+    "contract-not-a-string": (
+        _doc(contracts=["a", 3]),
+        "contracts[1]: expected a string, got int",
+    ),
+    "empty-contract-name": (
+        _doc(contracts=["a", ""]),
+        "contracts[1]: contract names must be non-empty",
+    ),
+    "duplicate-contract-name": (
+        _doc(contracts=["a", "b", "a"]),
+        "contracts[2]: duplicate contract name 'a'",
+    ),
+    "agent-contracts-not-a-list": (
+        _side1(_agents(p="a")),
+        f"{AGENT}: expected an array, got str",
+    ),
+    "agent-contract-not-a-string": (
+        _side1(_agents(p=["a", 1])),
+        f"{AGENT}[1]: expected a string, got int",
+    ),
+    "agent-contract-unhashable": (
+        _side1(_agents(p=["a", ["b"]])),
+        f"{AGENT}[1]: expected a string, got list",
+    ),
+    "agent-contract-unknown": (
+        _side1(_agents(p=["a", "zz"])),
+        f"{AGENT}[1]: unknown contract name 'zz'",
+    ),
+    "agent-contract-listed-twice": (
+        _side1(_agents(p=["a", "b", "a"])),
+        f"{AGENT}[2]: contract 'a' listed twice",
+    ),
+    "agent-owns-nothing": (
+        _side1(_agents(p=[], q=["a", "b"])),
+        f"{AGENT}: agent owns no contracts",
+    ),
+    "agent-contracts-out-of-id-order": (_side1(_agents(p=["b", "a"])), None),
+    "order-ranks-twice": (
+        _side1({"variant": "top_of_order", "order": ["a", "b", "a"]}),
+        "choice.side1.order[2]: contract 'a' ranked twice",
+    ),
+    "order-leaves-out": (
+        _side1({"variant": "top_of_order", "order": ["b"]}, contracts=["a", "b", "c"]),
+        "choice.side1.order: ranking leaves out ['a', 'c']; it must rank every contract",
+    ),
+    "table-in-listed-twice": (
+        _side1({"variant": "table", "map": [{"in": ["a", "a"], "out": []}]}),
+        "choice.side1.map[0].in[1]: contract 'a' listed twice",
+    ),
+    "valuation-boolean-value": (
+        _side1(
+            {
+                "variant": "valuation_argmax",
+                "values": [{"set": [], "value": 0}, {"set": ["a"], "value": True}],
+            },
+            contracts=["a"],
+        ),
+        "choice.side1.values[1].value: expected an exact number, got True",
+    ),
+    "owned-by-two-agents": (
+        _side1(_agents(p=["a", "b"], q=["b"])),
+        "choice.side1.agents.q.contracts: contract 'b' owned by both 'p' and 'q'",
+    ),
+    "owned-by-no-agent": (
+        _side1(_agents(p=["b"]), contracts=["a", "b", "c"]),
+        "choice.side1.agents: contracts ['a', 'c'] are owned by no agent",
+    ),
+    "labels-against-market": (
+        _doc(labels={"a": ["p", "c"], "b": ["p", "c"]}, market=_market(a="p", b="q")),
+        "market.tuples: contract 'b' is owned by 'p' per labels but 'q' per market.tuples",
+    ),
+    "labels-against-agents": (
+        _side1(_agents(p=["a", "b"]), labels={"a": ["p", "c"], "b": ["q", "c"]}),
+        "choice.side1.agents: contract 'b' is owned by 'q' per labels"
+        " but 'p' per choice.side1.agents",
+    ),
+    "market-against-agents": (
+        _side1(_agents(p=["a"], q=["b"]), market=_market(a="p", b="p")),
+        "choice.side1.agents: contract 'b' is owned by 'p' per market.tuples"
+        " but 'q' per choice.side1.agents",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_MESSAGES))
+def test_loader_messages(case):
+    """Each fault in a name list or in ownership gives this exact message,
+    position included; ``None``: the document is accepted."""
+    doc, message = LOADER_MESSAGES[case]
+    if message is None:
+        side = parse_document(doc).instance.f1
+        assert [part.contract_ids for part in side.parts] == [range(2)]
+    else:
+        assert str(_error(doc)) == message
+
+
 def test_a_document_of_many_names_parses_in_linear_time():
     names = [f"c{i}" for i in range(100_000)]
     with deadline(10):
@@ -304,6 +430,39 @@ def test_a_market_of_many_prices_and_templates_parses_in_linear_time():
     with deadline(10):
         loaded = parse_document(doc)
     assert [c.price for c in loaded.economy.contracts] == list(range(n - 1, -1, -1))
+
+
+def test_a_two_sided_document_of_many_agents_parses_in_linear_time():
+    """A k x k marriage market: each man owns a contiguous slice, each woman
+    a strided one, and every agent ranks its slice."""
+    k = 384
+    names = [f"m{i}w{j}" for i in range(k) for j in range(k)]
+
+    def side(prefix, slices):
+        return {
+            "agents": {
+                f"{prefix}{a}": {
+                    "contracts": s,
+                    "choice": {"variant": "top_of_order", "order": s[::-1]},
+                }
+                for a, s in enumerate(slices)
+            }
+        }
+
+    doc = _doc(
+        contracts=names,
+        choice={
+            "side1": side("m", [names[i * k : (i + 1) * k] for i in range(k)]),
+            "side2": side("w", [names[j::k] for j in range(k)]),
+        },
+    )
+    with deadline(4):
+        loaded = parse_document(doc)
+    men, women = loaded.instance.f1, loaded.instance.f2
+    assert {part.contract_ids for part in men.parts} == {
+        range(i * k, (i + 1) * k) for i in range(k)
+    }
+    assert {part.contract_ids for part in women.parts} == {range(j, k * k, k) for j in range(k)}
 
 
 def test_producer_variant_needs_market_and_side():
@@ -365,6 +524,17 @@ def test_subsets_serialized_sorted_by_name():
     assert doc["choice"]["side1"]["orders"] == [["zeta", "alpha"]]
     again = parse_document(doc)
     assert again.instance == inst
+
+
+def test_foreign_choice_functions_are_not_serialized():
+    class Everything(ChoiceFunction):
+        n = 2
+
+        def _choose(self, subset):
+            return subset
+
+    with pytest.raises(ParseError, match="cannot serialize choice functions of type Everything"):
+        to_document(Instance(names=("a", "b"), f1=Everything(), f2=Identity(2)))
 
 
 def test_valuation_serializes_scheme_exactly():

@@ -60,6 +60,8 @@ def test_economy_validation():
         MoneyEconomy(inst, good, (10,), ("t",))
     with pytest.raises(SpecError, match="unknown template"):
         MoneyEconomy(inst, good, (10, 11), ("other",))
+    with pytest.raises(SpecError, match="template names must be unique"):
+        MoneyEconomy(inst, good, (10, 11), ("t", "t"))
     with pytest.raises(SpecError, match="disagrees with market tuple"):
         MoneyEconomy(
             inst,
