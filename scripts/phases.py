@@ -6,7 +6,10 @@ Builds the first cycle of the ``marriage`` or ``bulk`` workload's inputs
 does), then times, in each of ``--passes`` passes, ``run`` on every item and
 the singleton stability verdict (``is_stable_set``) on every outcome.  It
 prints the fastest pass of each, in milliseconds for the whole cycle, and
-their difference: the rounds, with the agreement verdict and the trace.
+their difference: the rounds, with the agreement verdict and the building
+of each run's ``Trace``.  A marriage run's trace holds only its per-round
+ids (see ``engine.Trace``); its pools, offers and accepted sets are
+rebuilt when first read, which no pass does, so that rebuild is not timed.
 
 Usage::
 

@@ -33,7 +33,10 @@ rank in its owner's order (``_rank``), and can run deferred acceptance
 against another such side in :meth:`AggregateChoice.cursor_rounds`,
 rounds 0.. included: each rejected proposer resumes after its refused
 contract, and each receiver compares a new offer with its held contract by
-rank.
+rank.  Those rounds read pool membership from the pool's binary digits,
+one character per contract, and record each round's offers and
+rejections as ids, so an offer or a rejection costs the same at any
+width.
 :func:`~contractmatch.engine.run` takes it for every marriage market and
 for no side with any other kind of agent.  The singleton stability verdict
 between two such sides is :meth:`AggregateChoice.rank_blocker`, read from
@@ -202,46 +205,55 @@ class AggregateChoice(ChoiceFunction):
 
     def cursor_rounds(
         self, receiver: AggregateChoice, pool: int
-    ) -> tuple[list[int], list[int], list[int]]:
+    ) -> tuple[list[list[int]], list[list[int]], list[int]]:
         """Deferred acceptance from ``pool``, rounds 0.., this side
         proposing to ``receiver``, both sides made only of Gale-Shapley
         agents (both have ``_rank``).
 
-        Returns every round's pool, offer and accepted set, round 0 first,
-        as ``engine.run``'s generic rounds would.  Each agent's ``piece`` is
-        exactly its order, so a proposer's offer is the first entry of its
-        order still in the pool, and a receiver keeps the best offer of its
-        piece.  In round 0 each proposer offers its first order entry in the
-        pool; a proposer refused ``c`` resumes at tail index ``_rank[c]``,
-        just after it, so each of its order entries is read at most once
-        per run.  A receiver holds one contract and keeps a new offer ``d``
-        when ``_rank[d]`` is below its held contract's rank, one comparison
-        per offer; an offer outside its piece ranks ``n`` and is refused.  A
-        quota-1 receiver keeps only offered contracts, so pools only
-        shrink, and the run ends at the first round that rejects nothing.
+        Returns the run as ids: each round's new offers and its rejections,
+        round 0 first, and each receiver's held contract at the end (-1:
+        none).  :meth:`~contractmatch.engine.Trace.from_record` turns the
+        two lists into the pools, offers and accepted sets the generic
+        rounds would record, and the held contracts are the outcome.  Each
+        agent's ``piece`` is exactly its order, so a proposer's offer is
+        the first entry of its order still in the pool, and a receiver
+        keeps the best offer of its piece.  In round 0 each proposer offers
+        its first order entry in the pool; a proposer refused ``c`` resumes
+        at tail index ``_rank[c]``, just after it, so each of its order
+        entries is read at most once per run.  Pool membership is one
+        character per contract, the pool's binary digits read once: no
+        proposer reads an entry at or before a contract it was refused, so
+        the rejected contracts never need to leave the table.  A receiver
+        holds one contract and keeps a new offer ``d`` when ``_rank[d]`` is
+        below its held contract's rank, one comparison per offer; an offer
+        outside its piece ranks ``n`` and is refused.  A quota-1 receiver
+        keeps only offered contracts, so pools only shrink, and the run
+        ends at the first round that rejects nothing.  No full-width int is
+        built per offer, rejection or round.
         """
         p_owner, p_rank = self._owner, self._rank
         r_owner, r_rank = receiver._owner, receiver._rank
         held = [-1] * len(receiver._agents)  # each receiver's held contract
         best = [receiver.n] * len(receiver._agents)  # and its rank; n: none
-        pools, offers, accepted = [], [], []
-        offer = 0
+        # The pool's binary digits, lowest id first: "1" for each contract of the pool.
+        in_pool = bin(pool)[:1:-1].ljust(self.n, "0")
+        sents, rejections = [], []
         sent = []  # the round's new offers
         p_tails = []  # each proposer's tail, so a rejection costs one subscript
         for agent in self._agents:
             top, tail = agent.splits[0]
             p_tails.append(tail)
-            if pool & top:
-                sent.append(top.bit_length() - 1)
+            first = top.bit_length() - 1
+            if in_pool[first] == "1":
+                sent.append(first)
                 continue
             for d in tail:
-                if pool >> d & 1:
+                if in_pool[d] == "1":
                     sent.append(d)
                     break
         while True:
-            rejected, resent = 0, []
+            rejected, resent = [], []
             for d in sent:
-                offer |= 1 << d
                 b, r = r_owner[d], r_rank[d]
                 if r < best[b]:
                     loser, held[b], best[b] = held[b], d, r
@@ -249,23 +261,19 @@ class AggregateChoice(ChoiceFunction):
                         continue
                 else:
                     loser = d
-                rejected |= 1 << loser
-                # Its proposer's next offer: no later entry of its order is
-                # offered this round, so none leaves the pool with the loser.
+                rejected.append(loser)
+                # Its proposer's next offer: the entries after the loser.
                 tail, i = p_tails[p_owner[loser]], p_rank[loser]
                 while i < len(tail):
                     e = tail[i]
-                    if pool >> e & 1:
+                    if in_pool[e] == "1":
                         resent.append(e)
                         break
                     i += 1
-            pools.append(pool)
-            offers.append(offer)
-            accepted.append(offer ^ rejected)
+            sents.append(sent)
+            rejections.append(rejected)
             if not rejected:
-                return pools, offers, accepted
-            pool ^= rejected
-            offer ^= rejected
+                return sents, rejections, held
             sent = resent
 
     def rank_blocker(self, other: AggregateChoice, subset: int) -> int:

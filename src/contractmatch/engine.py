@@ -36,6 +36,12 @@ included, goes to
 :meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds` instead:
 each proposer resumes its order after a refused contract, and each receiver
 compares a new offer with its held contract by their ranks in its order.
+Those rounds build no full-width int: they record each round's new offers
+and rejections as ids, and :class:`Trace` keeps that record, rebuilding the
+per-round pools, offers and accepted sets only when they are read.  The
+outcome is the receivers' held contracts, and the final pool the first
+pool minus the rejected ids.  The generic rounds record the three masks of
+every round, as they compute them.
 The singleton verdict of two such sides, for a run's outcome or for any
 subset given to :func:`is_stable_set`, is
 :meth:`~contractmatch.aggregation.AggregateChoice.rank_blocker`: an outside
@@ -230,7 +236,6 @@ class StabilityVerdict:
         )
 
 
-@dataclass(frozen=True)
 class Trace:
     """Per-round record of one engine run.
 
@@ -238,27 +243,100 @@ class Trace:
     ``offers[j]``; the other side keeps ``accepted[j]``.  One more round
     from the last pool leads back to a recorded pool: to the last pool
     itself at a fixpoint, or to an earlier one when the run cycles.
+
+    ``Trace(pools, offers, accepted)`` holds the three tuples as given, as
+    the generic rounds record them.  :meth:`from_record` holds the cursor
+    rounds' record instead: the first pool, and each round's new offers and
+    rejections as lists of ids, so a run keeps O(offers + rejections) ids
+    rather than three full-width ints per round.  Such a trace rebuilds the
+    three tuples on their first read and keeps them; ``iterations``,
+    ``final_pool`` and ``cycle`` answer from the record.  Either way, traces
+    of the same rounds compare and hash equal and print alike.
     """
 
-    pools: tuple[int, ...]
-    offers: tuple[int, ...]
-    accepted: tuple[int, ...]
+    __slots__ = ("_rounds", "_record")
+
+    def __init__(
+        self, pools: tuple[int, ...], offers: tuple[int, ...], accepted: tuple[int, ...]
+    ) -> None:
+        self._rounds = (pools, offers, accepted)
+        self._record = None
+
+    @classmethod
+    def from_record(cls, pool: int, sent: list[list[int]], rejected: list[list[int]]) -> Trace:
+        """The trace of rounds that start from ``pool``, where round ``j``
+        offers the ids ``sent[j]`` on top of the offers still held and
+        rejects the ids ``rejected[j]``, which leave the pool.  The final
+        pool is built once, here."""
+        gone = 0
+        for ids in rejected:
+            for c in ids:
+                gone |= 1 << c
+        trace = cls.__new__(cls)
+        trace._rounds = None
+        trace._record = (pool, sent, rejected, pool ^ gone)
+        return trace
+
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        if self._rounds is None:
+            pool, sent, rejected, _ = self._record
+            pools, offers, accepted, offer = [], [], [], 0
+            for new, lost in zip(sent, rejected):
+                offer |= mask_of(new)
+                gone = mask_of(lost)
+                pools.append(pool)
+                offers.append(offer)
+                accepted.append(offer ^ gone)
+                pool ^= gone
+                offer ^= gone
+            self._rounds = (tuple(pools), tuple(offers), tuple(accepted))
+        return self._rounds
+
+    @property
+    def pools(self) -> tuple[int, ...]:
+        return self._masks()[0]
+
+    @property
+    def offers(self) -> tuple[int, ...]:
+        return self._masks()[1]
+
+    @property
+    def accepted(self) -> tuple[int, ...]:
+        return self._masks()[2]
 
     @property
     def iterations(self) -> int:
+        if self._record is not None:
+            return len(self._record[1])
         return len(self.pools)
 
     @property
     def final_pool(self) -> int:
+        if self._record is not None:
+            return self._record[3]
         return self.pools[-1]
 
     @property
     def cycle(self) -> tuple[int, ...]:
         """The pools the run kept revisiting, in order; empty at a fixpoint."""
+        if self._record is not None and not self._record[2][-1]:
+            return ()  # the last round rejected nothing
         after = (self.pools[-1] & ~self.offers[-1]) | self.accepted[-1]
         if after == self.pools[-1]:
             return ()
         return self.pools[self.pools.index(after):]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._masks() == other._masks()
+
+    def __hash__(self) -> int:
+        return hash(self._masks())
+
+    def __repr__(self) -> str:
+        pools, offers, accepted = self._masks()
+        return f"Trace(pools={pools!r}, offers={offers!r}, accepted={accepted!r})"
 
 
 @dataclass(frozen=True)
@@ -304,8 +382,13 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
         raise DomainError(f"pool {z:#x} exceeds the {instance.n}-contract universe")
 
     if hasattr(propose, "_rank") and hasattr(other, "_rank"):
-        pools, offers, accepted = propose.cursor_rounds(other, z)
-        z, keep = pools[-1], accepted[-1]
+        sent, rejected, held = propose.cursor_rounds(other, z)
+        trace = Trace.from_record(z, sent, rejected)
+        z, chosen = trace.final_pool, 0
+        for c in held:
+            if c >= 0:
+                chosen |= 1 << c
+        keep = chosen  # the last round rejected nothing
     else:
         offer = propose.choose_mask(z)
         keep = other.choose_mask(offer)
@@ -321,17 +404,18 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
             next_offer = propose.rechoose(next_z, z, offer)
             keep = other.rechoose(next_offer, offer, keep)
             z, offer = next_z, next_offer
+        trace = Trace(tuple(pools), tuple(offers), tuple(accepted))
+        chosen = offers[-1]
 
     # The last round already evaluated the receiving side on ``chosen``, and
     # ``chosen`` is the proposer's choice from ``z``: an aggregate proposer
     # re-evaluates only the agents that ``rechoose`` cannot skip.
-    chosen = offers[-1]
     proposed = propose.rechoose(chosen, z, chosen)
     choices = (proposed, keep) if proposer == 1 else (keep, proposed)
     return SolveResult(
         chosen=chosen,
         proposer=proposer,
-        trace=Trace(tuple(pools), tuple(offers), tuple(accepted)),
+        trace=trace,
         agreement=AgreementVerdict(chosen, *choices),
         stability=_singleton_stability(instance, chosen),
         coherence=instance.coherence,

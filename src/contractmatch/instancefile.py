@@ -34,6 +34,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -428,22 +429,29 @@ def parse_document(doc: Any) -> LoadedFile:
         for cname, mc in zip(names, market_contracts):
             _expect(mc is not None, f"no market tuple for contract {cname!r}", "market.tuples")
 
-    # --- explicit labels ---
-    explicit_labels: list[tuple[str, str]] | None = None
+    # --- explicit labels: each contract's two agents, by contract id ---
+    label_owners: tuple[list[str], list[str]] | None = None
     if "labels" in body:
         labels_body = _expect_dict(body["labels"], "labels")
-        explicit_labels = [None] * n  # type: ignore[list-item]
-        for cname, raw in labels_body.items():
-            loc = f"labels.{cname}"
-            _expect(cname in index, f"unknown contract name {cname!r}", loc)
-            pair = _expect_list(raw, loc)
-            _expect(len(pair) == 2, "label must be [side1 agent, side2 agent]", loc)
-            explicit_labels[index[cname]] = (
-                _expect_str(pair[0], f"{loc}[0]"),
-                _expect_str(pair[1], f"{loc}[1]"),
-            )
-        for cname, lab in zip(names, explicit_labels):
-            _expect(lab is not None, f"no label for contract {cname!r}", "labels")
+        pairs = list(labels_body.values())
+        # A valid section passes at C speed; only a faulty one is walked, to name its fault.
+        if not (
+            labels_body.keys() == index.keys()
+            and set(map(type, pairs)) == {list}
+            and set(map(len, pairs)) == {2}
+            and set(map(type, chain.from_iterable(pairs))) == {str}
+        ):
+            for cname, raw in labels_body.items():
+                loc = f"labels.{cname}"
+                _expect(cname in index, f"unknown contract name {cname!r}", loc)
+                pair = _expect_list(raw, loc)
+                _expect(len(pair) == 2, "label must be [side1 agent, side2 agent]", loc)
+                _expect_str(pair[0], f"{loc}[0]")
+                _expect_str(pair[1], f"{loc}[1]")
+            for cname in names:
+                _expect(cname in labels_body, f"no label for contract {cname!r}", "labels")
+        ordered = list(map(labels_body.__getitem__, names))
+        label_owners = ([pair[0] for pair in ordered], [pair[1] for pair in ordered])
 
     # --- choice blocks ---
     choice_body = _expect_dict(body.get("choice"), "choice")
@@ -474,7 +482,7 @@ def parse_document(doc: Any) -> LoadedFile:
     final_owner: list[list[str] | None] = [None, None]
     for side in (1, 2):
         candidates = [
-            ([lab[side - 1] for lab in explicit_labels] if explicit_labels else None, "labels"),
+            (label_owners[side - 1] if label_owners else None, "labels"),
             (derived[side - 1], "market.tuples"),
             (owners[side - 1], f"choice.side{side}.agents"),
         ]

@@ -12,11 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from contractmatch.aggregation import build_marriage_instance
 from contractmatch.choice import Identity
 from contractmatch.cli import main
 from contractmatch.corpus import FIXTURE_DIR, fixture_path
-from contractmatch.engine import Instance, auto_names
+from contractmatch.engine import Instance, auto_names, run
 from contractmatch.errors import SizeBoundError
+from contractmatch.generators import random_marriage_profile
 from contractmatch.instancefile import load, save
 
 from conftest import cycling_instance, deadline
@@ -108,6 +110,31 @@ def test_solve_trace_and_json(capsys):
         {"step": 0, "pool": ["a", "b"], "offer": ["a", "b"], "accepted": ["b"]},
         {"step": 1, "pool": ["b"], "offer": [], "accepted": []},
     ]
+
+
+def test_solve_trace_of_a_run_with_many_rounds(tmp_path, capsys):
+    """A 17x16 market takes 78 rounds in the cursor rounds, whose trace is
+    rebuilt from per-round ids: ``--json`` reports the run's iterations, and
+    ``--trace`` lists every round's pool, offer and accepted set, the last
+    pool being the final pool."""
+    instance = build_marriage_instance(*random_marriage_profile(2, 17, 16))
+    path = tmp_path / "marriage_17x16.json"
+    save(path, instance)
+    trace = run(instance).trace
+    assert trace.iterations == 78
+    code, out, _ = run_cli(capsys, "solve", str(path), "--json")
+    assert code == 0 and json.loads(out)["iterations"] == trace.iterations
+    code, out, _ = run_cli(capsys, "solve", str(path), "--trace", "--json")
+    steps = json.loads(out)["trace"]
+    assert code == 0 and len(steps) == trace.iterations
+    assert steps[-1]["pool"] == instance.names_of(trace.final_pool)
+    for j, step in enumerate(steps):
+        assert step == {
+            "step": j,
+            "pool": instance.names_of(trace.pools[j]),
+            "offer": instance.names_of(trace.offers[j]),
+            "accepted": instance.names_of(trace.accepted[j]),
+        }
 
 
 def test_solve_require_stable_exit(capsys):

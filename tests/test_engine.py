@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -776,14 +778,26 @@ def test_cursor_rounds_give_the_generic_runs():
     """Two sides of Gale-Shapley agents (one-order, quota-1 ``_Ranking``
     agents) run the whole run, round 0 included, in ``cursor_rounds``; the
     generic rounds, reached by wrapping the sides, give the same outcome,
-    trace and verdicts, from the universe and from random pools."""
+    trace and verdicts, from the universe and from random pools.  The
+    traces are compared field by field as well as by ``repr``, so that the
+    cursor record's rebuilt masks and its ``iterations``, ``final_pool`` and
+    ``cycle``, read before and after the rebuild, are all checked."""
     rng = random.Random(7)
     for inst in _cursor_cases():
         assert hasattr(inst.f1, "_rank") and hasattr(inst.f2, "_rank")
         generic = _generic(inst)
         for proposer in (1, 2):
             for pool in (None, rng.getrandbits(inst.n), rng.getrandbits(inst.n)):
-                assert repr(run(inst, proposer, pool)) == repr(run(generic, proposer, pool))
+                cursor, expected = run(inst, proposer, pool), run(generic, proposer, pool)
+                trace, want = cursor.trace, expected.trace
+                from_record = (trace.iterations, trace.final_pool, trace.cycle)
+                assert trace.pools == want.pools
+                assert trace.offers == want.offers
+                assert trace.accepted == want.accepted
+                assert from_record == (trace.iterations, trace.final_pool, trace.cycle)
+                assert from_record == (want.iterations, want.final_pool, want.cycle)
+                assert cursor.converged == expected.converged
+                assert repr(cursor) == repr(expected)
 
 
 def test_cursor_rounds_are_taken_by_two_sides_of_top_agents_only(monkeypatch):
@@ -849,21 +863,44 @@ def test_cursor_rounds_read_each_proposer_entry_at_most_once():
     for inst in _cursor_cases():
         for proposer in (1, 2):
             for pool in (inst.universe, rng.getrandbits(inst.n)):
-                expected = run(inst, proposer, pool).trace
+                expected = run(inst, proposer, pool)
                 propose, other = inst.side(proposer), inst.side(3 - proposer)
                 splits = [agent.splits for agent in propose._agents]
                 logs = [ReadLog(tail) for ((_, tail),) in splits]
                 for agent, ((top, _),), log in zip(propose._agents, splits, logs):
                     agent.splits = ((top, log),)
                 try:
-                    rounds = propose.cursor_rounds(other, pool)
+                    sent, rejected, held = propose.cursor_rounds(other, pool)
                 finally:
                     for agent, kept in zip(propose._agents, splits):
                         agent.splits = kept
-                assert Trace(*map(tuple, rounds)) == expected
+                assert Trace.from_record(pool, sent, rejected) == expected.trace
+                assert mask_of(c for c in held if c >= 0) == expected.chosen
                 for log in logs:
                     assert len(set(log.reads)) == len(log.reads)
                     assert set(log.reads) <= set(range(len(log.tail)))
+
+
+def test_a_long_cursor_run_keeps_its_history_as_ids():
+    """One more man than women makes rounds grow to about one per
+    rejection: 2386 rounds at 129x128.  The run keeps each round's new
+    offers and rejections as ids, so its ``SolveResult`` retains at most
+    1 MB (three full-width ints per round held 15.9 MB).  Reading the pools
+    afterwards rebuilds one per round, the last being ``final_pool``."""
+    inst = build_marriage_instance(*random_marriage_profile(1, 129, 128))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run(inst)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.trace.iterations > 1000 and result.stable_agreement
+    assert retained <= 1_000_000
+    pools = result.trace.pools
+    assert len(pools) == result.trace.iterations
+    assert pools[-1] == result.trace.final_pool
 
 
 def test_rank_is_each_contracts_place_in_its_owners_order():

@@ -374,6 +374,30 @@ LOADER_MESSAGES = {
         _side1(_agents(p=["b"]), contracts=["a", "b", "c"]),
         "choice.side1.agents: contracts ['a', 'c'] are owned by no agent",
     ),
+    "label-unknown-name": (
+        _doc(labels={"a": ["p", "c"], "b": ["p", "c"], "zz": ["p", "c"]}),
+        "labels.zz: unknown contract name 'zz'",
+    ),
+    "label-not-a-list": (
+        _doc(labels={"a": ["p", "c"], "b": "p"}),
+        "labels.b: expected an array, got str",
+    ),
+    "label-wrong-length": (
+        _doc(labels={"a": ["p", "c", "d"], "b": ["p", "c"]}),
+        "labels.a: label must be [side1 agent, side2 agent]",
+    ),
+    "label-not-a-string": (
+        _doc(labels={"a": ["p", "c"], "b": ["p", 1]}),
+        "labels.b[1]: expected a string, got int",
+    ),
+    "label-missing": (
+        _doc(labels={"b": ["p", "c"]}),
+        "labels: no label for contract 'a'",
+    ),
+    "label-first-fault-in-file-order": (
+        _doc(labels={"b": [None, "c"], "a": ["p"]}),
+        "labels.b[0]: expected a string, got NoneType",
+    ),
     "labels-against-market": (
         _doc(labels={"a": ["p", "c"], "b": ["p", "c"]}, market=_market(a="p", b="q")),
         "market.tuples: contract 'b' is owned by 'p' per labels but 'q' per market.tuples",
