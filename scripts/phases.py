@@ -7,9 +7,10 @@ does), then times, in each of ``--passes`` passes, ``run`` on every item and
 the singleton stability verdict (``is_stable_set``) on every outcome.  It
 prints the fastest pass of each, in milliseconds for the whole cycle, and
 their difference: the rounds, with the agreement verdict and the building
-of each run's ``Trace``.  A marriage run's trace holds only its per-round
-ids (see ``engine.Trace``); its pools, offers and accepted sets are
-rebuilt when first read, which no pass does, so that rebuild is not timed.
+of each run's ``Trace``.  A trace holds only what each round changed, as
+ids (a marriage run) or as masks (a bulk run; see ``engine.Trace``); its
+pools, offers and accepted sets are rebuilt when first read, which no pass
+does, so that rebuild is not timed.
 
 Usage::
 

@@ -212,10 +212,10 @@ class AggregateChoice(ChoiceFunction):
 
         Returns the run as ids: each round's new offers and its rejections,
         round 0 first, and each receiver's held contract at the end (-1:
-        none).  :meth:`~contractmatch.engine.Trace.from_record` turns the
-        two lists into the pools, offers and accepted sets the generic
-        rounds would record, and the held contracts are the outcome.  Each
-        agent's ``piece`` is exactly its order, so a proposer's offer is
+        none).  A :class:`~contractmatch.engine.Trace` keeps the two lists
+        as they are: they are the sets the generic rounds record as masks.
+        The held contracts are the outcome.  Each agent's ``piece`` is
+        exactly its order, so a proposer's offer is
         the first entry of its order still in the pool, and a receiver
         keeps the best offer of its piece.  In round 0 each proposer offers
         its first order entry in the pool; a proposer refused ``c`` resumes

@@ -37,11 +37,11 @@ included, goes to
 each proposer resumes its order after a refused contract, and each receiver
 compares a new offer with its held contract by their ranks in its order.
 Those rounds build no full-width int: they record each round's new offers
-and rejections as ids, and :class:`Trace` keeps that record, rebuilding the
-per-round pools, offers and accepted sets only when they are read.  The
-outcome is the receivers' held contracts, and the final pool the first
-pool minus the rejected ids.  The generic rounds record the three masks of
-every round, as they compute them.
+and rejections as ids.  The outcome is the receivers' held contracts, and
+the final pool the first pool minus the rejected ids.  The generic rounds
+record the same two sets of each round as masks, and :class:`Trace` keeps
+either record, rebuilding the per-round pools, offers and accepted sets
+only when they are read.
 The singleton verdict of two such sides, for a run's outcome or for any
 subset given to :func:`is_stable_set`, is
 :meth:`~contractmatch.aggregation.AggregateChoice.rank_blocker`: an outside
@@ -240,55 +240,49 @@ class Trace:
     """Per-round record of one engine run.
 
     Round ``j`` starts from pool ``pools[j]``; the proposer offers
-    ``offers[j]``; the other side keeps ``accepted[j]``.  One more round
-    from the last pool leads back to a recorded pool: to the last pool
-    itself at a fixpoint, or to an earlier one when the run cycles.
+    ``offers[j]``; the other side keeps ``accepted[j]``; the next pool is
+    ``(pools[j] & ~offers[j]) | accepted[j]``.  One more round from the
+    last pool leads back to a recorded pool: to the last pool itself at a
+    fixpoint (``converged``), or to an earlier one when the run cycles.
 
-    ``Trace(pools, offers, accepted)`` holds the three tuples as given, as
-    the generic rounds record them.  :meth:`from_record` holds the cursor
-    rounds' record instead: the first pool, and each round's new offers and
-    rejections as lists of ids, so a run keeps O(offers + rejections) ids
-    rather than three full-width ints per round.  Such a trace rebuilds the
-    three tuples on their first read and keeps them; ``iterations``,
-    ``final_pool`` and ``cycle`` answer from the record.  Either way, traces
-    of the same rounds compare and hash equal and print alike.
+    ``Trace(pool, sent, rejected, final_pool, converged)`` keeps what each
+    round changed rather than its three sets: the first pool, and for each
+    round ``j`` the offers ``sent[j]`` that differ from what was kept the
+    round before (``offers[j] == accepted[j-1] ^ sent[j]``, nothing kept
+    before round 0) and the offers ``rejected[j]`` not kept
+    (``accepted[j] == offers[j] ^ rejected[j]``).  On coherent sides these
+    are the new offers and the rejections; the symmetric difference also
+    records an offer withdrawn without being rejected and a contract kept
+    without being offered.  Each element is a mask, as the generic rounds
+    compute it, or a list of ids, as the cursor rounds do: converting one
+    to the other was measured to slow a run by 13-60%, so neither is
+    converted.  ``iterations``, ``final_pool``, ``cycle`` (empty when
+    ``converged``) and ``converged`` read the record as it is; ``pools``,
+    ``offers`` and ``accepted`` are rebuilt on their first read and kept.
+    Traces compare, hash and print as those rebuilt sets, so traces of the
+    same rounds are equal however they were recorded.
     """
 
-    __slots__ = ("_rounds", "_record")
+    __slots__ = ("_pool", "_sent", "_rejected", "final_pool", "converged", "_rounds")
 
     def __init__(
-        self, pools: tuple[int, ...], offers: tuple[int, ...], accepted: tuple[int, ...]
+        self, pool: int, sent: list, rejected: list, final_pool: int, converged: bool
     ) -> None:
-        self._rounds = (pools, offers, accepted)
-        self._record = None
-
-    @classmethod
-    def from_record(cls, pool: int, sent: list[list[int]], rejected: list[list[int]]) -> Trace:
-        """The trace of rounds that start from ``pool``, where round ``j``
-        offers the ids ``sent[j]`` on top of the offers still held and
-        rejects the ids ``rejected[j]``, which leave the pool.  The final
-        pool is built once, here."""
-        gone = 0
-        for ids in rejected:
-            for c in ids:
-                gone |= 1 << c
-        trace = cls.__new__(cls)
-        trace._rounds = None
-        trace._record = (pool, sent, rejected, pool ^ gone)
-        return trace
+        self._pool, self._sent, self._rejected = pool, sent, rejected
+        self.final_pool, self.converged = final_pool, converged
+        self._rounds = None
 
     def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         if self._rounds is None:
-            pool, sent, rejected, _ = self._record
-            pools, offers, accepted, offer = [], [], [], 0
-            for new, lost in zip(sent, rejected):
-                offer |= mask_of(new)
-                gone = mask_of(lost)
+            pool, keep = self._pool, 0
+            pools, offers, accepted = [], [], []
+            for new, lost in zip(self._sent, self._rejected):
+                offer = keep ^ (new if type(new) is int else mask_of(new))
+                keep = offer ^ (lost if type(lost) is int else mask_of(lost))
                 pools.append(pool)
                 offers.append(offer)
-                accepted.append(offer ^ gone)
-                pool ^= gone
-                offer ^= gone
+                accepted.append(keep)
+                pool = (pool & ~offer) | keep
             self._rounds = (tuple(pools), tuple(offers), tuple(accepted))
         return self._rounds
 
@@ -306,25 +300,15 @@ class Trace:
 
     @property
     def iterations(self) -> int:
-        if self._record is not None:
-            return len(self._record[1])
-        return len(self.pools)
-
-    @property
-    def final_pool(self) -> int:
-        if self._record is not None:
-            return self._record[3]
-        return self.pools[-1]
+        return len(self._sent)
 
     @property
     def cycle(self) -> tuple[int, ...]:
         """The pools the run kept revisiting, in order; empty at a fixpoint."""
-        if self._record is not None and not self._record[2][-1]:
-            return ()  # the last round rejected nothing
-        after = (self.pools[-1] & ~self.offers[-1]) | self.accepted[-1]
-        if after == self.pools[-1]:
+        if self.converged:
             return ()
-        return self.pools[self.pools.index(after):]
+        pools, offers, accepted = self._masks()
+        return pools[pools.index((pools[-1] & ~offers[-1]) | accepted[-1]):]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -353,7 +337,7 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         """Did the run reach a fixpoint pool (rather than stop on a cycle)?"""
-        return not self.trace.cycle
+        return self.trace.converged
 
     @property
     def stable_agreement(self) -> bool:
@@ -383,29 +367,33 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
 
     if hasattr(propose, "_rank") and hasattr(other, "_rank"):
         sent, rejected, held = propose.cursor_rounds(other, z)
-        trace = Trace.from_record(z, sent, rejected)
-        z, chosen = trace.final_pool, 0
+        gone = chosen = 0
+        for ids in rejected:
+            for c in ids:
+                gone |= 1 << c
         for c in held:
             if c >= 0:
                 chosen |= 1 << c
         keep = chosen  # the last round rejected nothing
+        trace = Trace(z, sent, rejected, z ^ gone, True)
+        z = trace.final_pool
     else:
+        first, held = z, 0
         offer = propose.choose_mask(z)
         keep = other.choose_mask(offer)
-        pools: dict[int, None] = {}  # in round order; no pool repeats
-        offers, accepted = [], []
+        pools, sent, rejected = set(), [], []  # a repeated pool ends the run
         while True:
-            pools[z] = None
-            offers.append(offer)
-            accepted.append(keep)
+            pools.add(z)
+            sent.append(offer ^ held)
+            rejected.append(offer ^ keep)
             next_z = (z & ~offer) | keep
             if next_z in pools:
                 break
             next_offer = propose.rechoose(next_z, z, offer)
-            keep = other.rechoose(next_offer, offer, keep)
+            held, keep = keep, other.rechoose(next_offer, offer, keep)
             z, offer = next_z, next_offer
-        trace = Trace(tuple(pools), tuple(offers), tuple(accepted))
-        chosen = offers[-1]
+        trace = Trace(first, sent, rejected, z, next_z == z)
+        chosen = offer
 
     # The last round already evaluated the receiving side on ``chosen``, and
     # ``chosen`` is the proposer's choice from ``z``: an aggregate proposer

@@ -778,18 +778,17 @@ def test_json_output_is_byte_deterministic(capsys):
     assert outputs[0] == json.dumps(json.loads(outputs[0]), indent=2, sort_keys=True) + "\n"
 
 
-def test_cli_digest_script_covers_every_form(capsys, monkeypatch):
+def _check_cli_digest(capsys, monkeypatch, fixture: str, digest: str) -> None:
     """``scripts/cli_digest.py`` runs 11 forms, each with and without
-    ``--json``, and hashes their answers to a pinned digest, so a change of
-    any answer on this fixture shows here; each form's exit code matches an
-    in-process run of the same arguments."""
+    ``--json``, and hashes their answers on ``fixture`` to ``digest``; each
+    form's exit code matches an in-process run of the same arguments."""
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run(
-        [sys.executable, str(root / "scripts" / "cli_digest.py"), "--verbose", "marriage_3x3"],
+        [sys.executable, str(root / "scripts" / "cli_digest.py"), "--verbose", fixture],
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout.splitlines()
     assert out[-2] == "22 forms"
-    assert out[-1] == "sha256 d241cd935657cec09af1a2e5e307880dbb87bdc07a657cca55560312a6f99747"
+    assert out[-1] == f"sha256 {digest}"
     monkeypatch.chdir(root)  # the script passes fixture paths relative to the tree
     forms = [line.split(" ", 2) for line in map(str.strip, out[:-2])]
     assert len({argv for _, _, argv in forms}) == 22
@@ -798,3 +797,22 @@ def test_cli_digest_script_covers_every_form(capsys, monkeypatch):
     }
     for code, _, argv in forms:
         assert run_cli(capsys, *argv.split())[0] == int(code), argv
+
+
+def test_cli_digest_script_covers_every_form(capsys, monkeypatch):
+    """The digest of every form on ``marriage_3x3``, whose runs take the
+    cursor rounds, is pinned, so a change of any answer on it shows here."""
+    _check_cli_digest(
+        capsys, monkeypatch, "marriage_3x3",
+        "d241cd935657cec09af1a2e5e307880dbb87bdc07a657cca55560312a6f99747",
+    )
+
+
+def test_cli_digest_script_pins_the_generic_rounds(capsys, monkeypatch):
+    """The same on ``no_stable_agreement``, whose runs take the generic
+    rounds: its ``solve --trace`` prints a round that withdraws the kept
+    {b}, so the rounds rebuilt from a mask record are pinned to the byte."""
+    _check_cli_digest(
+        capsys, monkeypatch, "no_stable_agreement",
+        "6ac06708410e301b3e3792f0da99f9f151ca8cfde27944c2408f7c55ebc9cb8c",
+    )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
+import pickle
 import random
 import re
 import subprocess
@@ -428,6 +430,49 @@ def test_run_stops_at_the_first_repeated_pool():
     assert result.agreement == AgreementVerdict(0, inst.f1.choose_mask(0), inst.f2.choose_mask(0))
 
 
+def withdrawing_instance() -> Instance:
+    """From the pool {a}, side 1 offers {a, b} and side 2 keeps exactly that
+    offer, so the pools run {a, b} -> {a} -> {a, b}."""
+    return Instance(
+        ("a", "b"),
+        TableChoice(2, (0b00, 0b11, 0b00, 0b10)),
+        TableChoice(2, (0b00, 0b00, 0b00, 0b11)),
+    )
+
+
+def test_a_cycle_whose_last_round_rejects_nothing_has_not_converged():
+    """The last round keeps every offer, yet leads back to the first pool:
+    whether a run converged is read from its pools, not from an empty last
+    rejection."""
+    trace = run(withdrawing_instance()).trace
+    assert trace.accepted[-1] == trace.offers[-1] == 0b11
+    assert not trace.converged
+    assert trace.cycle == (0b11, 0b01)
+    assert trace.iterations == 2
+    assert trace.final_pool == 0b01
+
+
+def test_solve_results_pickle_and_deep_copy_on_both_paths():
+    """A result copies with its trace's record, ids (a marriage run) or masks
+    (a random instance, and a cycle): each copy equals the original, with
+    the same hash and ``repr``, made before or after the first read of
+    ``trace.pools``."""
+    marriage = build_marriage_instance(*random_marriage_profile(2, 4, 5))
+    bulk = random_instance(3, 12, 2, 3)
+    assert hasattr(marriage.f1, "_rank") and not hasattr(bulk.f1, "_rank")
+    for inst in (marriage, bulk, withdrawing_instance()):
+        result = run(inst)
+        before = (pickle.loads(pickle.dumps(result)), copy.deepcopy(result))
+        assert result.trace.pools
+        after = (pickle.loads(pickle.dumps(result)), copy.deepcopy(result))
+        for copied in (*before, *after):
+            assert copied == result
+            assert hash(copied) == hash(result)
+            assert repr(copied) == repr(result)
+            assert copied.converged == result.converged
+            assert copied.trace.final_pool == result.trace.final_pool
+
+
 # ---------------------------------------------------------------------------
 # Agent-local rounds reproduce the whole-side iteration exactly
 # ---------------------------------------------------------------------------
@@ -446,11 +491,14 @@ def whole_side_blocker(instance: Instance, subset: int) -> int | None:
     return None
 
 
-def whole_side_run(instance: Instance, proposer: int, pool: int) -> tuple[Trace, int | None]:
+def whole_side_run(
+    instance: Instance, proposer: int, pool: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int | None]:
     """The iteration and singleton verdict evaluating both whole sides every time.
 
-    Returns the trace and the blocking contract bit (None when stable).  Only
-    for instances whose receiving side is contracting: it stops at a fixpoint.
+    Returns each round's pool, offer and accepted set, and the blocking
+    contract bit (None when stable).  Only for instances whose receiving
+    side is contracting: it stops at a fixpoint.
     """
     propose, other = instance.side(proposer), instance.side(3 - proposer)
     z = pool
@@ -465,17 +513,19 @@ def whole_side_run(instance: Instance, proposer: int, pool: int) -> tuple[Trace,
         if next_z == z:
             break
         z = next_z
-    trace = Trace(tuple(pools), tuple(offers), tuple(accepted))
-    return trace, whole_side_blocker(instance, offers[-1])
+    blocking = whole_side_blocker(instance, offers[-1])
+    return tuple(pools), tuple(offers), tuple(accepted), blocking
 
 
 def _assert_same_as_whole_side(instance: Instance, proposer: int, pool: int | None = None):
     result = run(instance, proposer, pool)
-    trace, blocking = whole_side_run(
+    pools, offers, accepted, blocking = whole_side_run(
         instance, proposer, instance.universe if pool is None else pool
     )
-    assert result.trace == trace
-    assert result.chosen == trace.offers[-1]
+    trace = result.trace
+    assert (trace.pools, trace.offers, trace.accepted) == (pools, offers, accepted)
+    assert trace.final_pool == pools[-1] and trace.cycle == ()
+    assert result.chosen == offers[-1]
     assert result.stability.blocking_set == blocking
     chosen = result.chosen
     assert result.agreement == AgreementVerdict(
@@ -780,8 +830,9 @@ def test_cursor_rounds_give_the_generic_runs():
     generic rounds, reached by wrapping the sides, give the same outcome,
     trace and verdicts, from the universe and from random pools.  The
     traces are compared field by field as well as by ``repr``, so that the
-    cursor record's rebuilt masks and its ``iterations``, ``final_pool`` and
-    ``cycle``, read before and after the rebuild, are all checked."""
+    masks rebuilt from the cursor record's ids and its ``iterations``,
+    ``final_pool`` and ``cycle``, read before and after the rebuild, are
+    all checked."""
     rng = random.Random(7)
     for inst in _cursor_cases():
         assert hasattr(inst.f1, "_rank") and hasattr(inst.f2, "_rank")
@@ -790,12 +841,12 @@ def test_cursor_rounds_give_the_generic_runs():
             for pool in (None, rng.getrandbits(inst.n), rng.getrandbits(inst.n)):
                 cursor, expected = run(inst, proposer, pool), run(generic, proposer, pool)
                 trace, want = cursor.trace, expected.trace
-                from_record = (trace.iterations, trace.final_pool, trace.cycle)
+                unbuilt = (trace.iterations, trace.final_pool, trace.cycle)
                 assert trace.pools == want.pools
                 assert trace.offers == want.offers
                 assert trace.accepted == want.accepted
-                assert from_record == (trace.iterations, trace.final_pool, trace.cycle)
-                assert from_record == (want.iterations, want.final_pool, want.cycle)
+                assert unbuilt == (trace.iterations, trace.final_pool, trace.cycle)
+                assert unbuilt == (want.iterations, want.final_pool, want.cycle)
                 assert cursor.converged == expected.converged
                 assert repr(cursor) == repr(expected)
 
@@ -874,7 +925,8 @@ def test_cursor_rounds_read_each_proposer_entry_at_most_once():
                 finally:
                     for agent, kept in zip(propose._agents, splits):
                         agent.splits = kept
-                assert Trace.from_record(pool, sent, rejected) == expected.trace
+                gone = mask_of(c for ids in rejected for c in ids)
+                assert Trace(pool, sent, rejected, pool ^ gone, True) == expected.trace
                 assert mask_of(c for c in held if c >= 0) == expected.chosen
                 for log in logs:
                     assert len(set(log.reads)) == len(log.reads)
@@ -885,13 +937,17 @@ def test_a_long_cursor_run_keeps_its_history_as_ids():
     """One more man than women makes rounds grow to about one per
     rejection: 2386 rounds at 129x128.  The run keeps each round's new
     offers and rejections as ids, so its ``SolveResult`` retains at most
-    1 MB (three full-width ints per round held 15.9 MB).  Reading the pools
-    afterwards rebuilds one per round, the last being ``final_pool``."""
+    1 MB (three full-width ints per round held 15.9 MB), also once
+    ``converged``, ``cycle`` and ``final_pool`` are read: none of them
+    rebuilds the masks.  Reading the pools afterwards rebuilds one per
+    round, the last being ``final_pool``."""
     inst = build_marriage_instance(*random_marriage_profile(1, 129, 128))
     gc.collect()
     tracemalloc.start()
     try:
         result = run(inst)
+        assert result.converged and result.trace.cycle == ()
+        assert result.trace.final_pool
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
@@ -901,6 +957,29 @@ def test_a_long_cursor_run_keeps_its_history_as_ids():
     pools = result.trace.pools
     assert len(pools) == result.trace.iterations
     assert pools[-1] == result.trace.final_pool
+
+
+def test_a_long_generic_run_keeps_two_masks_per_round():
+    """A 64x64 market whose first man takes two wives runs the generic
+    rounds, 652 of them.  Its ``SolveResult`` keeps two full-width masks
+    per round, each round's changed offers and its rejections, so it
+    retains at most 2.5 universe-sized ints per round (the rounds' pools,
+    offers and accepted sets took 1 129 844 bytes here)."""
+    inst = build_marriage_instance(*random_marriage_profile(1, 64, 64))
+    first = inst.f1.parts[0]
+    quota2 = dataclasses.replace(first, spec=ResponsiveQuota(64, first.spec.order, 2))
+    mixed = dataclasses.replace(inst, f1=AggregateChoice(inst.n, (quota2, *inst.f1.parts[1:])))
+    assert not hasattr(mixed.f1, "_rank")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run(mixed)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.trace.iterations == 652 and result.converged
+    assert retained <= 2.5 * sys.getsizeof(inst.universe) * result.trace.iterations
 
 
 def test_rank_is_each_contracts_place_in_its_owners_order():
