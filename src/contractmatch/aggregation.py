@@ -56,7 +56,7 @@ from .choice import ChoiceFunction, TopOfOrder, _Ranking
 from .engine import Instance
 from .errors import DomainError, SpecError
 from .preference import COHERENCE_ASSERTED
-from .sets import full_mask, mask_of
+from .sets import full_mask, id_typecode, mask_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +128,6 @@ class AggregateChoice(ChoiceFunction):
             raise SpecError(f"contracts {missing} are owned by no agent (label gap)")
         if len({p.agent for p in self.parts}) != len(self.parts):
             raise SpecError("agent names must be unique within a side")
-        code = "H" if len(self.parts) <= 1 << 16 else "L"
         # Per-agent tuples are built from lists, here, in aggregate_side, in
         # the generators and in the ranking evaluators: CPython allocates a
         # generator-fed tuple at one size and frees it at another, so every
@@ -145,7 +144,7 @@ class AggregateChoice(ChoiceFunction):
             if type(agent) is not _Ranking:
                 unsure |= piece
         universe = full_mask(self.n)
-        object.__setattr__(self, "_owner", array(code, owner))
+        object.__setattr__(self, "_owner", array(id_typecode(len(self.parts)), owner))
         object.__setattr__(self, "_rest", tuple([universe ^ piece for piece in slices]))
         object.__setattr__(self, "_unsure", unsure)
         # Two sides of Gale-Shapley agents run deferred acceptance in
@@ -161,7 +160,7 @@ class AggregateChoice(ChoiceFunction):
                 rank[top.bit_length() - 1] = 0
                 for i, c in enumerate(tail, 1):
                     rank[c] = i
-            object.__setattr__(self, "_rank", array("H" if self.n < 1 << 16 else "L", rank))
+            object.__setattr__(self, "_rank", array(id_typecode(self.n + 1), rank))
         object.__setattr__(self, "_agents", agents)
 
     def owners(self) -> tuple[str, ...]:

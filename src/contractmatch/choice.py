@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import limits
 from .errors import DomainError, SizeBoundError, SpecError
-from .sets import format_mask, full_mask, iter_submasks, mask_of
+from .sets import format_mask, full_mask, id_typecode, iter_submasks, mask_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -238,7 +238,7 @@ class _RankingChoice(ChoiceFunction):
         orders, quota = self._orders_and_quota()
         if all(len(order) < self.n for order in orders):
             piece = mask_of([ids[c] for order in orders for c in order])
-        code = "H" if piece.bit_length() <= 1 << 16 else "L"
+        code = id_typecode(piece.bit_length())
         # From a list: see AggregateChoice.__post_init__.
         splits = tuple([
             (mask_of([ids[c] for c in order[:quota]]),

@@ -13,14 +13,16 @@ Exit codes: 0 success, 1 a requested check found violations, 2 the input
 could not be parsed or is semantically invalid, 3 an exhaustive check was
 refused because the instance exceeds the configured size bounds.
 
-Each subcommand imports the checkers it runs (coherence, market, oracle)
-itself, so ``solve`` starts without loading any of them.
+Each handler returns its answer and :func:`main` writes it; a closed
+stdout ends the command quietly, with its usual exit code.  Each handler
+imports the checkers it runs (coherence, market, oracle) itself, so
+``solve`` starts without loading any of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -34,7 +36,7 @@ from .errors import (
     SizeBoundError,
     SpecError,
 )
-from .instancefile import load
+from .instancefile import LoadedFile, dumps_document, load
 from .preference import (
     COHERENCE_CHECKED,
     COHERENCE_UNKNOWN,
@@ -49,13 +51,8 @@ if TYPE_CHECKING:
     from .coherence import CoherenceReport
     from .oracle import StableSetCatalog
 
-
-def _emit(args: argparse.Namespace, payload: dict, human_lines: Sequence[str]) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        for line in human_lines:
-            print(line)
+# A handler's answer: its --json payload, its human lines, its exit code.
+Answer = tuple[dict[str, Any], list[str], int]
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +117,7 @@ def _validate_side(
     return payload, lines, ok
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    loaded = load(args.file)
+def cmd_validate(args: argparse.Namespace, loaded: LoadedFile) -> Answer:
     instance = loaded.instance
     payload: dict[str, Any] = {"contracts": list(instance.names)}
     lines = [f"{len(instance.names)} contracts"]
@@ -149,8 +145,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ok = ok and shortage.ok and money.ok
     payload["ok"] = ok
     lines.append("valid" if ok else "INVALID")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return payload, lines, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +153,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    loaded = load(args.file)
+def cmd_solve(args: argparse.Namespace, loaded: LoadedFile) -> Answer:
     instance = loaded.instance
     result = run(instance, proposer=args.proposer)
     chosen = instance.names_of(result.chosen)
@@ -206,10 +200,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f" offer {{{', '.join(step['offer'])}}}"
                 f" accepted {{{', '.join(step['accepted'])}}}"
             )
-    _emit(args, payload, lines)
-    if cycle or args.require_stable and not result.stability.stable:
-        return 1
-    return 0
+    failed = cycle or args.require_stable and not result.stability.stable
+    return payload, lines, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +221,9 @@ def _catalog_report(instance: Instance, catalog: StableSetCatalog) -> tuple[dict
     return payload, lines
 
 
-def cmd_lattice(args: argparse.Namespace) -> int:
+def cmd_lattice(args: argparse.Namespace, loaded: LoadedFile) -> Answer:
     from .oracle import brute_glb, brute_lub, enumerate_stable_agreements
 
-    loaded = load(args.file)
     instance = loaded.instance
     catalog = enumerate_stable_agreements(instance)
     payload, lines = _catalog_report(instance, catalog)
@@ -274,8 +265,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         lines.extend(f"  {m}" for m in mismatches)
     else:
         lines.append(f"meet/join verified against brute force on {npairs} pair(s)")
-    _emit(args, payload, lines)
-    return 1 if mismatches else 0
+    return payload, lines, 1 if mismatches else 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +273,10 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_market(args: argparse.Namespace) -> int:
+def cmd_market(args: argparse.Namespace, loaded: LoadedFile) -> Answer:
     from .market import check_money_monotone, check_no_shortage, check_two_prices
     from .oracle import enumerate_stable_agreements
 
-    loaded = load(args.file)
     if loaded.economy is None:
         raise ParseError("this file has no market section", "market")
     economy = loaded.economy
@@ -355,8 +344,7 @@ def cmd_market(args: argparse.Namespace) -> int:
         failed = failed or not advisory and not all(entry["ok"] for entry in results)
 
     payload["ok"] = not failed
-    _emit(args, payload, lines)
-    return 1 if failed else 0
+    return payload, lines, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +352,9 @@ def cmd_market(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace, loaded: LoadedFile) -> Answer:
     from .oracle import enumerate_stable_agreements
 
-    loaded = load(args.file)
     instance = loaded.instance
     catalog = enumerate_stable_agreements(instance)
     payload, lines = _catalog_report(instance, catalog)
@@ -375,8 +362,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         for j in range(len(catalog)):
             if i != j and catalog.below[i][j]:
                 lines.append(f"  [{i}] is below [{j}] for side 1")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -393,58 +379,36 @@ def _flag_mask(raw: str, instance: Instance, flag: str) -> int:
         raise ParseError(str(e), flag) from None
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    loaded = load(args.file)
+def cmd_query(args: argparse.Namespace, loaded: LoadedFile) -> Answer:
     instance = loaded.instance
     f = instance.side(args.side)
     a = _flag_mask(args.set_a, instance, "-A")
     coherence = COHERENCE_CHECKED if _coherent_if_affordable(f) else COHERENCE_UNKNOWN
+    payload: dict[str, Any] = {"op": args.op, "side": args.side, "coherence": coherence}
 
     if args.op == "closure":
         result = closure(f, a)
-        payload = {
-            "op": "closure",
-            "side": args.side,
-            "set": instance.names_of(a),
-            "result": instance.names_of(result),
-            "coherence": coherence,
-        }
-        lines = [f"closure: {format_mask(result, instance.names)}"]
-        _emit(args, payload, lines)
-        return 0
+        payload.update(set=instance.names_of(a), result=instance.names_of(result))
+        return payload, [f"closure: {format_mask(result, instance.names)}"], 0
 
     if args.set_b is None:
         raise ParseError(f"--op {args.op} needs -B", "-B")
     b = _flag_mask(args.set_b, instance, "-B")
     if args.op == "prefers":
-        answer = prefers(f, a, b).holds
-        lines = [
-            f"side {args.side} reveals"
-            f" {format_mask(a, instance.names)} at least as good as"
-            f" {format_mask(b, instance.names)}: {'yes' if answer else 'no'}"
-        ]
+        answer, relation = prefers(f, a, b).holds, "at least as good as"
     else:
-        answer = indifferent(f, a, b)
-        lines = [
-            f"side {args.side} reveals"
-            f" {format_mask(a, instance.names)} equivalent to"
-            f" {format_mask(b, instance.names)}: {'yes' if answer else 'no'}"
-        ]
+        answer, relation = indifferent(f, a, b), "equivalent to"
+    lines = [
+        f"side {args.side} reveals {format_mask(a, instance.names)} {relation}"
+        f" {format_mask(b, instance.names)}: {'yes' if answer else 'no'}"
+    ]
     if coherence != COHERENCE_CHECKED:
         lines.append(
             "note: coherence not verified; revealed comparisons are only"
             " meaningful for coherent choice functions"
         )
-    payload = {
-        "op": args.op,
-        "side": args.side,
-        "set_a": instance.names_of(a),
-        "set_b": instance.names_of(b),
-        "holds": answer,
-        "coherence": coherence,
-    }
-    _emit(args, payload, lines)
-    return 0
+    payload.update(set_a=instance.names_of(a), set_b=instance.names_of(b), holds=answer)
+    return payload, lines, 0
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +465,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args, load(args.file))
     except SizeBoundError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
     except (SpecError, DomainError, PreconditionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    text = dumps_document(payload) if args.json else "".join(f"{line}\n" for line in lines)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: send what Python flushes at exit to devnull
+        # (the recipe in the ``signal`` module's note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def entry() -> None:

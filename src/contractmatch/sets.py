@@ -17,6 +17,12 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def id_typecode(bound: int) -> str:
+    """The ``array`` typecode for ids ``0 .. bound - 1``: two-byte ``"H"``
+    when they all fit in 16 bits, ``"L"`` otherwise."""
+    return "H" if bound <= 1 << 16 else "L"
+
+
 def mask_of(contracts: Iterable[int]) -> int:
     """Build a subset mask from an iterable of contract ids.
 

@@ -439,6 +439,73 @@ def test_query_on_every_name_of_a_large_file(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# forms that scripts/cli_digest.py does not run
+# ---------------------------------------------------------------------------
+
+_NOTE = (
+    "note: coherence not verified; revealed comparisons are only"
+    " meaningful for coherent choice functions\n"
+)
+_NO_MARKET = "error: market: this file has no market section\n"
+_NO_B = "error: -B: --op prefers needs -B\n"
+
+# (form, fixture, exit code, human stdout, --json payload, stderr); the form's
+# fixture path goes right after the subcommand.
+_PINNED_FORMS = (
+    (("query", "--op", "prefers", "-A", "m1_w1", "-B", "m1_w2"), "marriage_3x3", 0,
+     "side 1 reveals {m1_w1} at least as good as {m1_w2}: yes\n",
+     {"coherence": "checked", "holds": True, "op": "prefers", "set_a": ["m1_w1"],
+      "set_b": ["m1_w2"], "side": 1}, ""),
+    (("query", "--op", "prefers", "--side", "2", "-A", "m1_w1", "-B", "m2_w1"),
+     "marriage_3x3", 0,
+     "side 2 reveals {m1_w1} at least as good as {m2_w1}: no\n",
+     {"coherence": "checked", "holds": False, "op": "prefers", "set_a": ["m1_w1"],
+      "set_b": ["m2_w1"], "side": 2}, ""),
+    (("query", "--op", "indifferent", "-A", "m1_w1,m1_w2", "-B", "m1_w1"), "marriage_3x3", 0,
+     "side 1 reveals {m1_w1, m1_w2} equivalent to {m1_w1}: yes\n",
+     {"coherence": "checked", "holds": True, "op": "indifferent",
+      "set_a": ["m1_w1", "m1_w2"], "set_b": ["m1_w1"], "side": 1}, ""),
+    (("query", "--op", "indifferent", "--side", "2", "-A", "m1_w1,m2_w1", "-B", "m1_w1"),
+     "marriage_3x3", 0,
+     "side 2 reveals {m1_w1, m2_w1} equivalent to {m1_w1}: no\n",
+     {"coherence": "checked", "holds": False, "op": "indifferent",
+      "set_a": ["m1_w1", "m2_w1"], "set_b": ["m1_w1"], "side": 2}, ""),
+    (("query", "--op", "prefers", "-A", "a", "-B", "b"), "no_stable_agreement", 0,
+     "side 1 reveals {a} at least as good as {b}: no\n" + _NOTE,
+     {"coherence": "unknown", "holds": False, "op": "prefers", "set_a": ["a"],
+      "set_b": ["b"], "side": 1}, ""),
+    (("query", "--op", "indifferent", "--side", "2", "-A", "a,b", "-B", "b"),
+     "no_stable_agreement", 0,
+     "side 2 reveals {a, b} equivalent to {b}: yes\n",
+     {"coherence": "checked", "holds": True, "op": "indifferent", "set_a": ["a", "b"],
+      "set_b": ["b"], "side": 2}, ""),
+    (("solve", "--require-stable"), "no_stable_agreement", 1,
+     "chosen: {}\niterations: 2\nagreement: yes\nstable: no\nblocking contract: a\n",
+     {"agreement": True, "blocking_contract": "a", "chosen": [], "iterations": 2,
+      "proposer": 1, "stable": False}, ""),
+    (("market",), "marriage_3x3", 2, "", None, _NO_MARKET),
+    (("query", "--op", "prefers", "-A", "m1_w1"), "marriage_3x3", 2, "", None, _NO_B),
+)
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["human", "json"])
+@pytest.mark.parametrize(
+    "form, fixture, code, human, payload, err", _PINNED_FORMS,
+    ids=[" ".join((form[1], *form[0])) for form in _PINNED_FORMS],
+)
+def test_forms_outside_the_digest_are_pinned(form, fixture, code, human, payload, err,
+                                             json_flag, capsys):
+    """Exact stdout, stderr and exit code of ``query --op prefers`` and
+    ``--op indifferent`` on both sides, ``solve --require-stable`` without a
+    stable agreement, and two input errors, which ``scripts/cli_digest.py``
+    does not run."""
+    argv = [form[0], str(fixture_path(fixture)), *(["--json"] if json_flag else []), *form[1:]]
+    if json_flag and payload is not None:
+        human = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert run_cli(capsys, *argv) == (code, human, err)
+
+
+# ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------
 
@@ -816,3 +883,85 @@ def test_cli_digest_script_pins_the_generic_rounds(capsys, monkeypatch):
         capsys, monkeypatch, "no_stable_agreement",
         "6ac06708410e301b3e3792f0da99f9f151ca8cfde27944c2408f7c55ebc9cb8c",
     )
+
+
+# ---------------------------------------------------------------------------
+# one load and one write per invocation
+# ---------------------------------------------------------------------------
+
+# Every subcommand once, as (fixture, form); the fixture path goes right
+# after the subcommand.
+_EVERY_SUBCOMMAND = (
+    ("marriage_3x3", ("validate",)),
+    ("marriage_3x3", ("solve", "--trace")),
+    ("no_stable_agreement", ("solve", "--require-stable")),
+    ("marriage_3x3", ("lattice",)),
+    ("economy_small", ("market",)),
+    ("marriage_3x3", ("oracle",)),
+    ("marriage_3x3", ("query", "--op", "prefers", "-A", "m1_w1", "-B", "m1_w2")),
+    ("marriage_3x3", ("query", "--op", "closure", "-A", "m1_w1")),
+)
+
+
+def _argvs(json_flag: bool) -> list[list[str]]:
+    return [
+        [form[0], str(fixture_path(fixture)), *(["--json"] if json_flag else []), *form[1:]]
+        for fixture, form in _EVERY_SUBCOMMAND
+    ]
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["human", "json"])
+def test_a_closed_stdout_ends_quietly_with_the_usual_exit_code(json_flag, capsys):
+    """With stdout a pipe whose reader has gone, each subcommand prints no
+    traceback and exits as it does with a reader: 1 for ``solve
+    --require-stable`` on a file with no stable agreement."""
+    argvs = _argvs(json_flag)
+    procs = []
+    for argv in argvs:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        procs.append(subprocess.Popen(
+            [sys.executable, "-m", "contractmatch.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        ))
+        os.close(write_end)
+    for argv, proc in zip(argvs, procs):
+        _, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (run_cli(capsys, *argv)[0], ""), argv
+        assert proc.returncode == (1 if "--require-stable" in argv else 0), argv
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["human", "json"])
+def test_main_loads_each_file_once(json_flag, monkeypatch, capsys):
+    """``main`` reads the file through the module's ``load``, once per
+    invocation, so a replacement of ``cli.load`` (the benchmark's timed
+    loader) sees every load and changes no answer."""
+    import contractmatch.cli as cli
+
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load(path)
+
+    for argv in _argvs(json_flag):
+        answer = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "load", counting_load)
+        calls.clear()
+        assert run_cli(capsys, *argv) == answer, argv
+        assert calls == [argv[1]], argv
+        monkeypatch.undo()
+
+
+def test_handlers_return_their_answer_and_write_nothing(capsys):
+    """Each ``cmd_*`` handler, called with a loaded file, writes nothing and
+    returns ``(payload, lines, exit code)``; ``main`` writes exactly that."""
+    from contractmatch.cli import build_parser
+    from contractmatch.instancefile import dumps_document
+
+    for human_argv, json_argv in zip(_argvs(False), _argvs(True)):
+        args = build_parser().parse_args(human_argv)
+        payload, lines, code = args.func(args, load(args.file))
+        assert capsys.readouterr() == ("", ""), human_argv
+        assert run_cli(capsys, *human_argv) == (code, "".join(f"{s}\n" for s in lines), "")
+        assert run_cli(capsys, *json_argv) == (code, dumps_document(payload), "")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from contractmatch.sets import (
     format_mask,
     full_mask,
+    id_typecode,
     ids_of,
     iter_submasks,
     mask_of,
@@ -22,6 +25,15 @@ def test_full_mask():
     assert full_mask(0) == 0
     assert full_mask(1) == 0b1
     assert full_mask(4) == 0b1111
+
+
+def test_id_typecode_takes_the_exclusive_bound_of_the_ids():
+    assert id_typecode(0) == id_typecode(65_535) == id_typecode(65_536) == "H"
+    assert id_typecode(65_537) == "L"
+    # The two-byte code holds the largest id below 65 536; the next needs "L".
+    array(id_typecode(65_536), [65_535])
+    with pytest.raises(OverflowError):
+        array("H", [65_536])
 
 
 def test_mask_of():
