@@ -366,16 +366,11 @@ def build_marriage_instance(
     name is interned, so markets of one size share their name strings.
     """
     n_men, n_women = len(men_prefs), len(women_prefs)
-    for i, prefs in enumerate(men_prefs):
-        if sorted(prefs) != list(range(n_women)):
-            raise SpecError(
-                f"man {i}: preference list must rank every woman exactly once"
-            )
-    for j, prefs in enumerate(women_prefs):
-        if sorted(prefs) != list(range(n_men)):
-            raise SpecError(
-                f"woman {j}: preference list must rank every man exactly once"
-            )
+    sides = ("man", men_prefs), ("woman", women_prefs)
+    for (who, lists), (whom, others) in zip(sides, sides[::-1]):  # each ranks the other side
+        for i, prefs in enumerate(lists):
+            if sorted(prefs) != list(range(len(others))):
+                raise SpecError(f"{who} {i}: preference list must rank every {whom} exactly once")
 
     men = [sys.intern(f"m{i + 1}") for i in range(n_men)]
     women = [sys.intern(f"w{j + 1}") for j in range(n_women)]

@@ -26,7 +26,6 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
-from . import limits
 from .aggregation import AggregateChoice
 from .engine import Instance, join, meet, run
 from .errors import (
@@ -74,13 +73,14 @@ def _coherence_payload(report: CoherenceReport, names: Sequence[str]) -> dict:
 
 
 def _coherent_if_affordable(f: ChoiceFunction) -> bool | None:
-    """Whether ``f`` is coherent, or ``None`` when ``n`` is above the
-    subset-pair or ``2^n`` scan bound and no scan is made."""
-    if f.n > limits.pairwise_bound() or f.n > limits.exhaustive_bound():
-        return None
+    """Whether ``f`` is coherent, or ``None`` when ``check_coherent`` refuses
+    the scan for its size."""
     from .coherence import check_coherent
 
-    return check_coherent(f).coherent
+    try:
+        return check_coherent(f).coherent
+    except SizeBoundError:
+        return None
 
 
 def _validate_side(

@@ -22,7 +22,8 @@ rationals are written as ints or ``"[-]p[/q]"`` strings of decimal digits
 malformed payloads raise
 :class:`~contractmatch.errors.ParseError` carrying the dotted position of
 the offending element, and so does a file that the JSON decoder refuses
-for its nesting depth or an integer's length.
+for its nesting depth or an integer's length, or an object in it that
+gives one key twice (reported at the file's path).
 ``parse -> serialize -> parse`` is the identity.
 :mod:`contractmatch.market` is imported only for a file with a market
 section or a market variant.
@@ -257,21 +258,18 @@ def _parse_spec(
             scheme = PerturbationScheme.for_valuation(values)
         return ValuationArgmax(k, values, scheme)
 
-    if tag == "linear_producer":
-        _expect(side == 1, "linear_producer agents belong on side 1", loc)
-        _expect(market is not None, "linear_producer needs a market section", loc)
-        from .market import build_linear_producer
+    if tag in ("linear_producer", "unit_demand_consumer"):
+        from .market import build_linear_producer, build_unit_demand_consumer
 
-        costs = _parse_agent_numbers(body.get("costs"), market, f"{loc}.costs")
-        return build_linear_producer(market.slice_contracts, market.grid, costs)
-
-    if tag == "unit_demand_consumer":
-        _expect(side == 2, "unit_demand_consumer agents belong on side 2", loc)
-        _expect(market is not None, "unit_demand_consumer needs a market section", loc)
-        from .market import build_unit_demand_consumer
-
-        wtp = _parse_agent_numbers(body.get("wtp"), market, f"{loc}.wtp")
-        return build_unit_demand_consumer(market.slice_contracts, market.grid, wtp)
+        want, field, build = (
+            (1, "costs", build_linear_producer)
+            if tag == "linear_producer"
+            else (2, "wtp", build_unit_demand_consumer)
+        )
+        _expect(side == want, f"{tag} agents belong on side {want}", loc)
+        _expect(market is not None, f"{tag} needs a market section", loc)
+        numbers = _parse_agent_numbers(body.get(field), market, f"{loc}.{field}")
+        return build(market.slice_contracts, market.grid, numbers)
 
     raise ParseError(f"unknown variant {tag!r}", f"{loc}.variant")
 
@@ -613,6 +611,17 @@ def dumps_document(doc: Mapping[str, Any]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _refuse_repeated_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """One decoded JSON object; a key it gives twice is an input error."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            _expect(key not in seen, f"key {key!r} appears twice in one object", "")
+            seen.add(key)
+    return members
+
+
 def load(path: str | Path) -> LoadedFile:
     """Read and parse an instance file."""
     try:
@@ -622,7 +631,9 @@ def load(path: str | Path) -> LoadedFile:
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})", str(path)) from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
+    except ParseError as e:  # a ValueError too, so caught before the digit limit's
+        raise ParseError(str(e), str(path)) from None
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}", str(path)) from None
     except RecursionError:

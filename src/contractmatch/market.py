@@ -443,44 +443,25 @@ def build_money_economy(
         raise SpecError("need at least one copy of each contract tuple")
     contracts = []
     names = []
-    for producer in producers:
-        for consumer in consumers:
-            for template in templates:
-                for price in range(len(price_grid)):
-                    for copy in range(copies):
-                        contracts.append(
-                            MarketContract(producer, consumer, template, price)
-                        )
-                        names.append(
-                            f"{producer}_{consumer}_{template}"
-                            f"_{price_grid[price]}_{chr(ord('a') + copy)}"
-                        )
+    for producer, consumer, template, price, copy in product(
+        producers, consumers, templates, range(len(price_grid)), range(copies)
+    ):
+        contracts.append(MarketContract(producer, consumer, template, price))
+        names.append(f"{producer}_{consumer}_{template}_{price_grid[price]}_{chr(ord('a') + copy)}")
 
-    producer_slices: dict[str, list[int]] = {}
-    consumer_slices: dict[str, list[int]] = {}
-    for cid, c in enumerate(contracts):
-        producer_slices.setdefault(c.producer, []).append(cid)
-        consumer_slices.setdefault(c.consumer, []).append(cid)
+    # One agent per owner on each side, side 1's built first.
+    sides = []
+    for build, numbers, owners in (
+        (build_linear_producer, unit_costs, [c.producer for c in contracts]),
+        (build_unit_demand_consumer, willingness, [c.consumer for c in contracts]),
+    ):
+        slices: dict[str, list[MarketContract]] = {}
+        for agent, c in zip(owners, contracts):
+            slices.setdefault(agent, []).append(c)
+        specs = {agent: build(own, price_grid, numbers[agent]) for agent, own in slices.items()}
+        sides.append(aggregate_side(specs, owners))
 
-    producer_specs = {
-        agent: build_linear_producer(
-            [contracts[cid] for cid in ids], price_grid, unit_costs[agent]
-        )
-        for agent, ids in producer_slices.items()
-    }
-    consumer_specs = {
-        agent: build_unit_demand_consumer(
-            [contracts[cid] for cid in ids], price_grid, willingness[agent]
-        )
-        for agent, ids in consumer_slices.items()
-    }
-
-    instance = Instance(
-        names=tuple(names),
-        f1=aggregate_side(producer_specs, [c.producer for c in contracts]),
-        f2=aggregate_side(consumer_specs, [c.consumer for c in contracts]),
-        coherence=COHERENCE_ASSERTED,
-    )
+    instance = Instance(tuple(names), *sides, coherence=COHERENCE_ASSERTED)
     return MoneyEconomy(
         instance=instance,
         contracts=tuple(contracts),

@@ -97,30 +97,22 @@ def brute_glb(catalog: StableSetCatalog, first: int, second: int) -> int | None:
     others.  Returns None when no unique greatest lower bound exists (which
     signals a theorem violation on coherent instances).
     """
-    i, j = catalog.index(first), catalog.index(second)
-    lows = [
-        k
-        for k in range(len(catalog))
-        if catalog.below[k][i] and catalog.below[k][j]
-    ]
-    greatest = [k for k in lows if all(catalog.below[other][k] for other in lows)]
-    if len(greatest) != 1:
-        return None
-    return catalog.sets[greatest[0]]
+    return _unique_bound(catalog, first, second, catalog.below)
 
 
 def brute_lub(catalog: StableSetCatalog, first: int, second: int) -> int | None:
     """Least upper bound of two catalog members in side 1's order."""
-    i, j = catalog.index(first), catalog.index(second)
-    highs = [
-        k
-        for k in range(len(catalog))
-        if catalog.below[i][k] and catalog.below[j][k]
-    ]
-    least = [k for k in highs if all(catalog.below[k][other] for other in highs)]
-    if len(least) != 1:
-        return None
-    return catalog.sets[least[0]]
+    return _unique_bound(catalog, first, second, tuple(zip(*catalog.below)))
+
+
+def _unique_bound(catalog: StableSetCatalog, a: int, b: int, under: Sequence) -> int | None:
+    """The one common bound of ``a`` and ``b`` that every other lies beneath,
+    where ``under[k][i]`` says ``sets[k]`` lies beneath ``sets[i]``, or None.
+    ``below`` gives the lower bounds, its transpose the upper ones."""
+    i, j = catalog.index(a), catalog.index(b)
+    common = [k for k in range(len(catalog)) if under[k][i] and under[k][j]]
+    best = [k for k in common if all(under[other][k] for other in common)]
+    return catalog.sets[best[0]] if len(best) == 1 else None
 
 
 def classical_gale_shapley(

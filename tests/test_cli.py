@@ -540,6 +540,40 @@ def test_exit_2_on_non_utf8_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _with_a_repeated_key(doc: dict, path: tuple[str, ...], key: str, **changes) -> str:
+    """``doc`` as JSON text in which the object at ``path`` gives ``key`` a
+    second time, last, with ``changes`` applied to the copy of its value."""
+    target = doc
+    for step in path:
+        target = target[step]
+    value = target[key]
+    target["\0repeat"] = {**value, **changes} if changes else value
+    return json.dumps(doc).replace('"\\u0000repeat"', json.dumps(key))
+
+
+# Each was decoded keeping the last value of the repeated key, silently:
+# the second side-1 block was solved, and the second tuple's price checked.
+REPEATED_KEYS = {
+    "top_level": ((), "contracts", {}, "solve"),
+    "side_block": (("choice",), "side1", {}, "solve"),
+    "agent": (("choice", "side2", "agents"), "c1", {}, "solve"),
+    "market_tuple": (("market", "tuples"), "p1_c1_widget_12_a", {"price": 10}, "market"),
+    "label": (("labels",), "p1_c1_widget_10_a", {}, "solve"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_exit_2_on_a_repeated_key(case, tmp_path, capsys):
+    where, key, changes, command = REPEATED_KEYS[case]
+    doc = json.loads(fixture_path("economy_small").read_text())
+    path = tmp_path / f"{case}.json"
+    path.write_text(_with_a_repeated_key(doc, where, key, **changes))
+    argv = [command, str(path)] + (["--check", "two-prices"] if command == "market" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: key {key!r} appears twice in one object\n"
+
+
 def _one_contract_valuation(value: str) -> str:
     """A one-contract file whose side 1 values {a} at ``value`` (JSON text)."""
     values = f'[{{"set": [], "value": 0}}, {{"set": ["a"], "value": {value}}}]'
@@ -653,6 +687,19 @@ def test_exit_2_on_bad_bound_variable(monkeypatch, capsys):
     assert code == 2
     assert err.startswith("error: CONTRACTMATCH_EXHAUSTIVE_BOUND") and "'-5'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["query", "--op", "closure", "-A", "m1_w1"]], ids=lambda a: a[0]
+)
+def test_two_bad_bound_variables_name_the_exhaustive_one(argv, monkeypatch, capsys):
+    """``query`` asks ``check_coherent`` whether a scan is affordable, so it
+    reads the two scan bounds in the same order as ``validate``."""
+    monkeypatch.setenv("CONTRACTMATCH_EXHAUSTIVE_BOUND", "-5")
+    monkeypatch.setenv("CONTRACTMATCH_PAIRWISE_BOUND", "ten")
+    code, out, err = run_cli(capsys, argv[0], str(fixture_path("marriage_2x2")), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: CONTRACTMATCH_EXHAUSTIVE_BOUND must be a non-negative integer, got '-5'\n"
 
 
 def test_exit_2_on_a_bound_too_long_to_convert():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from contractmatch.corpus import price_gap_economy
 from contractmatch.engine import ContractLabel, Instance, is_stable_set, run
 from contractmatch.errors import SizeBoundError, SpecError
 from contractmatch.generators import random_money_economy
+from contractmatch.instancefile import dumps_document, to_document
 from contractmatch.market import (
     LinearProducerChoice,
     MarketContract,
@@ -465,3 +467,30 @@ def test_builder_end_to_end_solve():
 def test_builder_rejects_zero_copies():
     with pytest.raises(SpecError, match="at least one copy"):
         build_money_economy(["p"], ["c"], ["t"], [1], {"p": {"t": 1}}, {"c": {"t": 1}}, copies=0)
+
+
+def test_builder_output_is_pinned():
+    # The canonical document of every built economy, hashed: the generated
+    # ones (at most 14 contracts each) and one 48-contract economy with two
+    # agents a side, two templates, two prices and three copies of each tuple.
+    generated = hashlib.sha256()
+    for seed in range(100):
+        econ = random_money_economy(seed)
+        generated.update(dumps_document(to_document(econ.instance, econ)).encode())
+    assert generated.hexdigest() == (
+        "f3d61fe4acfddfdbbdffc63797ca0bc2f6ddefa933abb274d05897675a12dec7"
+    )
+    econ = build_money_economy(
+        ["p1", "p2"],
+        ["c1", "c2"],
+        ["t1", "t2"],
+        [10, 12],
+        {"p1": {"t1": 11, "t2": 9}, "p2": {"t1": 12, "t2": 13}},
+        {"c1": {"t1": 12, "t2": 10}, "c2": {"t1": 9, "t2": 11}},
+        copies=3,
+    )
+    assert econ.instance.n == 48
+    document = dumps_document(to_document(econ.instance, econ)).encode()
+    assert hashlib.sha256(document).hexdigest() == (
+        "94a9aa80b7d86f046a3afe1a61bdad029fa68ee98a645acd7d096d672a8b3192"
+    )

@@ -15,9 +15,9 @@ from contractmatch.corpus import (
     marriage_3x3,
     no_stable_agreement_instance,
 )
-from contractmatch.engine import Instance, auto_names, is_stable_agreement, run
+from contractmatch.engine import Instance, auto_names, is_stable_agreement, join, meet, run
 from contractmatch.errors import PreconditionError, SizeBoundError
-from contractmatch.generators import random_marriage_profile
+from contractmatch.generators import random_instance, random_marriage_profile
 from contractmatch.aggregation import build_marriage_instance
 from contractmatch.choice import Identity
 from contractmatch.oracle import (
@@ -121,6 +121,32 @@ def test_brute_bounds_none_when_no_unique_bound():
     )
     assert brute_glb(catalog, 0b01, 0b10) is None
     assert brute_lub(catalog, 0b01, 0b10) is None
+
+
+def test_swapping_the_sides_inverts_the_order():
+    """The two sides' orders on stable agreements are inverse: with the
+    sides swapped, the catalog is the same, its relation is the transpose,
+    and each side's least upper bound is the other's greatest lower bound,
+    both by brute force and by the engine's ``meet`` and ``join``."""
+    instances = [random_instance(seed, 4 + seed % 5) for seed in range(100)]
+    instances += [
+        build_marriage_instance(*random_marriage_profile(seed, 3, 3)) for seed in range(50)
+    ]
+    several = pairs = 0
+    for inst in instances:
+        swapped = Instance(inst.names, inst.f2, inst.f1)
+        catalog, mirror = enumerate_stable_agreements(inst), enumerate_stable_agreements(swapped)
+        assert mirror.sets == catalog.sets
+        assert mirror.below == tuple(zip(*catalog.below))
+        several += len(catalog) > 1
+        for i, a in enumerate(catalog.sets):
+            for b in catalog.sets[i:]:
+                pairs += 1
+                assert brute_lub(catalog, a, b) == brute_glb(mirror, a, b)
+                assert brute_glb(catalog, a, b) == brute_lub(mirror, a, b)
+                assert join(inst, a, b) == meet(swapped, a, b)
+                assert meet(inst, a, b) == join(swapped, a, b)
+    assert (several, pairs) == (26, 215)  # instances with two or more agreements; pairs
 
 
 # ---------------------------------------------------------------------------
