@@ -14,7 +14,10 @@ Agents' functions are written over their own compact universe
 parts are the only record of who owns each contract:
 :meth:`AggregateChoice.owners` names each contract's agent, and an
 :class:`~contractmatch.engine.Instance` with two aggregate sides reads its
-labels from them.  :class:`AggregateChoice`
+labels from them.  One helper assembles every side of named agents, for
+:func:`aggregate_side`, the marriage builder and instance files: it refuses
+an agent that owns no contract and orders the parts by agent name.
+:class:`AggregateChoice`
 writes each agent in global ids once, when the side is built (see
 ``ChoiceFunction._relabelled``): a ranking or filter, the market's agents
 included, becomes a ``_Ranking``, a top mask and a tail walk per order, and
@@ -321,6 +324,15 @@ class AggregateChoice(ChoiceFunction):
         return 1 << witness if witness < n else 0
 
 
+def _assemble_side(
+    n: int, agents: Mapping[str, tuple[ChoiceFunction, Sequence[int]]]
+) -> AggregateChoice:
+    """A side from ``{agent: (function, contract ids)}``, parts in agent-name order."""
+    if unused := sorted(agent for agent, (_, ids) in agents.items() if not ids):
+        raise SpecError(f"agents {unused} declared but own no contracts")
+    return AggregateChoice(n, tuple([AggregatePart(a, *agents[a]) for a in sorted(agents)]))
+
+
 def aggregate_side(
     specs: Mapping[str, ChoiceFunction], owner_by_contract: Sequence[str]
 ) -> AggregateChoice:
@@ -330,21 +342,13 @@ def aggregate_side(
     owner must appear in ``specs`` and vice versa.  Each agent's function is
     over its compact slice universe (ascending global ids).
     """
-    n = len(owner_by_contract)
     slices: dict[str, list[int]] = {}
     for cid, agent in enumerate(owner_by_contract):
         slices.setdefault(agent, []).append(cid)
-    missing = sorted(set(slices) - set(specs))
-    if missing:
+    if missing := sorted(set(slices) - set(specs)):
         raise SpecError(f"no choice function declared for agents {missing}")
-    unused = sorted(set(specs) - set(slices))
-    if unused:
-        raise SpecError(f"agents {unused} declared but own no contracts")
-    parts = tuple([
-        AggregatePart(agent, specs[agent], tuple(slices[agent]))
-        for agent in sorted(slices)
-    ])
-    return AggregateChoice(n, parts)
+    agents = {agent: (f, tuple(slices.get(agent, ()))) for agent, f in specs.items()}
+    return _assemble_side(len(owner_by_contract), agents)
 
 
 # ---------------------------------------------------------------------------
@@ -374,32 +378,18 @@ def build_marriage_instance(
 
     men = [sys.intern(f"m{i + 1}") for i in range(n_men)]
     women = [sys.intern(f"w{j + 1}") for j in range(n_women)]
-    if bool(men) != bool(women):  # the same refusal as aggregate_side's
-        raise SpecError(f"agents {sorted(men or women)} declared but own no contracts")
     # Man i owns the contiguous ids i*n_women.., woman j every n_women-th id
     # from j, both as ranges; the labels are read from these owners.
     n = n_men * n_women
     return Instance(
         names=tuple(map(sys.intern, map("_".join, product(men, women)))),
-        f1=_marriage_side(
-            n, men, men_prefs, [range(i * n_women, (i + 1) * n_women) for i in range(n_men)]
-        ),
-        f2=_marriage_side(n, women, women_prefs, [range(j, n, n_women) for j in range(n_women)]),
+        f1=_assemble_side(n, {
+            m: (TopOfOrder(n_women, tuple(p)), range(i * n_women, (i + 1) * n_women))
+            for i, (m, p) in enumerate(zip(men, men_prefs))
+        }),
+        f2=_assemble_side(n, {
+            w: (TopOfOrder(n_men, tuple(p)), range(j, n, n_women))
+            for j, (w, p) in enumerate(zip(women, women_prefs))
+        }),
         coherence=COHERENCE_ASSERTED,
     )
-
-
-def _marriage_side(
-    n: int,
-    agents: Sequence[str],
-    prefs: Sequence[Sequence[int]],
-    slices: Sequence[range],
-) -> AggregateChoice:
-    """One side of a marriage market: agent ``a`` ranks its slice ``slices[a]``
-    by ``prefs[a]``.  Parts are ordered by agent name, as in
-    :func:`aggregate_side`."""
-    parts = []
-    for a in sorted(range(len(agents)), key=agents.__getitem__):
-        spec = TopOfOrder(len(slices[a]), tuple(prefs[a]))
-        parts.append(AggregatePart(agents[a], spec, slices[a]))
-    return AggregateChoice(n, tuple(parts))

@@ -52,7 +52,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import limits
-from .errors import DomainError, SizeBoundError, SpecError
+from .errors import DomainError, SpecError
 from .sets import format_mask, full_mask, id_typecode, iter_submasks, mask_of
 
 if TYPE_CHECKING:
@@ -452,12 +452,9 @@ class ValuationArgmax(ChoiceFunction):
                 f"valuation table covers {_universe_size(len(self.values))} contracts,"
                 f" expected {self.n}"
             )
-        limit = limits.pairwise_bound()
-        if self.n > limit:
-            raise SizeBoundError(
-                f"valuation argmax refused: building its table takes 3^{self.n} steps"
-                f" for {self.n} contracts, bound is {limit}"
-            )
+        steps = f"3^{self.n} steps for {self.n} contracts"
+        refusal = f"valuation argmax refused: building its table takes {steps}"
+        limits.refuse_above(self.n, limits.pairwise_bound, None, refusal)
         self._validate_scheme()
         perturbed = self._perturbed_values()
         object.__setattr__(self, "_table", self._argmax_table(perturbed))

@@ -29,13 +29,13 @@ from typing import Callable, Sequence
 
 from . import limits
 from .choice import ChoiceFunction, tabulate
-from .errors import SizeBoundError
 from .sets import format_mask, iter_submasks
 
 AXIOM_CONTRACTION = "contraction"
 AXIOM_IRC = "rejection-consistency"
 AXIOM_SUBSTITUTES = "substitutes"
 AXIOM_PATH = "path-independence"
+_BOUND_HINT = " (raise via max_n or the CONTRACTMATCH_*_BOUND environment variables)"
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,8 @@ class CoherenceReport:
 
 
 def _bound_check(f: ChoiceFunction, max_n: int | None, default: Callable[[], int], what: str) -> None:
-    limit = default() if max_n is None else max_n
-    if f.n > limit:
-        raise SizeBoundError(
-            f"{what} scan refused: domain has {f.n} contracts, bound is {limit}"
-            f" (raise via max_n or the CONTRACTMATCH_*_BOUND environment variables)"
-        )
+    refusal = f"{what} scan refused: domain has {f.n} contracts"
+    limits.refuse_above(f.n, default, max_n, refusal, _BOUND_HINT)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from typing import Sequence
 
 from . import limits
 from .choice import ChoiceFunction
-from .errors import DomainError, PreconditionError, SizeBoundError, SpecError
+from .errors import DomainError, PreconditionError, SpecError
 from .preference import COHERENCE_UNKNOWN, closure
 from .sets import format_mask, full_mask, iter_submasks, mask_of, subset_names
 
@@ -434,14 +434,9 @@ def _singleton_stability(instance: Instance, subset: int) -> StabilityVerdict:
 
 
 def _full_stability(instance: Instance, subset: int, max_n: int | None) -> StabilityVerdict:
-    free = (instance.universe & ~subset).bit_count()
-    limit = limits.exhaustive_bound() if max_n is None else max_n
-    if free > limit:
-        raise SizeBoundError(
-            f"full-mode stability scan refused: {free} outside contracts,"
-            f" bound is {limit}"
-        )
     outside = instance.universe & ~subset
+    refusal = f"full-mode stability scan refused: {outside.bit_count()} outside contracts"
+    limits.refuse_above(outside.bit_count(), limits.exhaustive_bound, max_n, refusal)
     for block in iter_submasks(outside):
         if block == 0:
             continue

@@ -21,7 +21,8 @@ rationals are written as ints or ``"[-]p[/q]"`` strings of decimal digits
 (floats, exponents and decimals are rejected).  Unknown variant tags and
 malformed payloads raise
 :class:`~contractmatch.errors.ParseError` carrying the dotted position of
-the offending element, and so does a file that the JSON decoder refuses
+the offending element, and so do a choice block that its variant's constructor
+refuses (at the block's position) and a file that the JSON decoder refuses
 for its nesting depth or an integer's length, or an object in it that
 gives one key twice (reported at the file's path).
 ``parse -> serialize -> parse`` is the identity.
@@ -39,7 +40,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .aggregation import AggregateChoice, AggregatePart
+from .aggregation import AggregateChoice, _assemble_side
 from .choice import (
     ChoiceFunction,
     Identity,
@@ -51,7 +52,7 @@ from .choice import (
     ValuationArgmax,
 )
 from .engine import ContractLabel, Instance
-from .errors import ParseError
+from .errors import ParseError, SpecError
 from .sets import format_mask, mask_of, subset_names
 
 if TYPE_CHECKING:
@@ -169,6 +170,16 @@ class _MarketContext:
 
 
 def _parse_spec(
+    block: Any, local_names: Sequence[str], loc: str, side: int, market: _MarketContext | None
+) -> ChoiceFunction:
+    """One choice block; its variant's own refusals are reported at the block."""
+    try:
+        return _read_spec(block, local_names, loc, side, market)
+    except SpecError as e:
+        raise e if isinstance(e, ParseError) else ParseError(str(e), loc) from None
+
+
+def _read_spec(
     block: Any,
     local_names: Sequence[str],
     loc: str,
@@ -185,21 +196,7 @@ def _parse_spec(
         return Identity(k)
 
     if tag == "table":
-        rows = _expect_list(body.get("map"), f"{loc}.map")
-        entries: dict[int, int] = {}
-        for i, raw in enumerate(rows):
-            row = _expect_dict(raw, f"{loc}.map[{i}]")
-            key = _parse_subset(row.get("in"), index, f"{loc}.map[{i}].in")
-            _expect(key not in entries, "duplicate 'in' subset", f"{loc}.map[{i}].in")
-            entries[key] = _parse_subset(row.get("out"), index, f"{loc}.map[{i}].out")
-        for m in range(1 << k):
-            _expect(
-                m in entries,
-                f"table must define every subset exactly once;"
-                f" missing {format_mask(m, local_names)}",
-                f"{loc}.map",
-            )
-        return TableChoice(k, tuple(entries[m] for m in range(1 << k)))
+        return TableChoice(k, _parse_rows(body, tag, local_names, index, loc))
 
     if tag == "top_of_order":
         order = _parse_order(body.get("order"), index, f"{loc}.order")
@@ -220,20 +217,7 @@ def _parse_spec(
         return UnionOfOrders(k, orders)
 
     if tag == "valuation_argmax":
-        rows = _expect_list(body.get("values"), f"{loc}.values")
-        table: dict[int, Fraction] = {}
-        for i, raw in enumerate(rows):
-            row = _expect_dict(raw, f"{loc}.values[{i}]")
-            key = _parse_subset(row.get("set"), index, f"{loc}.values[{i}].set")
-            _expect(key not in table, "duplicate subset", f"{loc}.values[{i}].set")
-            table[key] = _parse_fraction(row.get("value"), f"{loc}.values[{i}].value")
-        for m in range(1 << k):
-            _expect(
-                m in table,
-                f"valuation must cover every subset; missing {format_mask(m, local_names)}",
-                f"{loc}.values",
-            )
-        values = tuple(table[m] for m in range(1 << k))
+        values = _parse_rows(body, tag, local_names, index, loc)
         scheme = None
         if "prices" in body:
             _expect("epsilon" in body, "'prices' requires 'epsilon'", loc)
@@ -274,6 +258,36 @@ def _parse_spec(
     raise ParseError(f"unknown variant {tag!r}", f"{loc}.variant")
 
 
+# Every-subset rows: fields, value reader and writer, repeated- and missing-subset messages.
+_ROWS = {
+    "table": (
+        "map", "in", "out", _parse_subset, subset_names,
+        "duplicate 'in' subset", "table must define every subset exactly once",
+    ),
+    "valuation_argmax": (
+        "values", "set", "value", lambda v, _, at: _parse_fraction(v, at),
+        lambda v, _: _fraction_to_json(v), "duplicate subset", "valuation must cover every subset",
+    ),
+}
+
+
+def _parse_rows(
+    body: dict, tag: str, local_names: Sequence[str], index: Mapping[str, int], loc: str
+) -> tuple:
+    """One value per subset of the slice, by bitmask, from rows that give each once."""
+    rows, key, field, read, _, twice, missing = _ROWS[tag]
+    loc = f"{loc}.{rows}"
+    table = {}
+    for i, raw in enumerate(_expect_list(body.get(rows), loc)):
+        row = _expect_dict(raw, f"{loc}[{i}]")
+        subset = _parse_subset(row.get(key), index, f"{loc}[{i}].{key}")
+        _expect(subset not in table, twice, f"{loc}[{i}].{key}")
+        table[subset] = read(row.get(field), index, f"{loc}[{i}].{field}")
+    for m in range(1 << len(local_names)):
+        _expect(m in table, f"{missing}; missing {format_mask(m, local_names)}", loc)
+    return tuple(table[m] for m in range(1 << len(local_names)))
+
+
 def _parse_order(value: Any, index: Mapping[str, int], loc: str) -> tuple[int, ...]:
     order = _parse_names(value, index, loc, "ranked twice")
     missing = sorted(set(index).difference(value))
@@ -294,20 +308,20 @@ def _parse_agent_numbers(
     return out
 
 
+def _rows_to_json(tag: str, values: Sequence, local_names: Sequence[str]) -> dict:
+    """A block's tag and its every-subset rows, in bitmask order."""
+    rows, key, field, _, write = _ROWS[tag][:5]
+    return {"variant": tag, rows: [
+        {key: subset_names(m, local_names), field: write(v, local_names)}
+        for m, v in enumerate(values)
+    ]}
+
+
 def _spec_to_json(spec: ChoiceFunction, local_names: Sequence[str]) -> dict:
     if isinstance(spec, Identity):
         return {"variant": "identity"}
     if isinstance(spec, TableChoice):
-        return {
-            "variant": "table",
-            "map": [
-                {
-                    "in": subset_names(m, local_names),
-                    "out": subset_names(spec.entries[m], local_names),
-                }
-                for m in range(1 << spec.n)
-            ],
-        }
+        return _rows_to_json("table", spec.entries, local_names)
     if isinstance(spec, ResponsiveQuota):
         return {
             "variant": "responsive_quota",
@@ -326,14 +340,7 @@ def _spec_to_json(spec: ChoiceFunction, local_names: Sequence[str]) -> dict:
         }
     if isinstance(spec, ValuationArgmax):
         return {
-            "variant": "valuation_argmax",
-            "values": [
-                {
-                    "set": subset_names(m, local_names),
-                    "value": _fraction_to_json(spec.values[m]),
-                }
-                for m in range(1 << spec.n)
-            ],
+            **_rows_to_json("valuation_argmax", spec.values, local_names),
             "epsilon": _fraction_to_json(spec.scheme.epsilon),
             "prices": [_fraction_to_json(p) for p in spec.scheme.prices],
         }
@@ -528,7 +535,7 @@ def _parse_agents_block(
     agents_body = _expect_dict(raw_agents, f"{loc}.agents")
     _expect(bool(agents_body), "need at least one agent", f"{loc}.agents")
     owned: dict[int, str] = {}
-    parts = []
+    agents = {}
     for agent in sorted(agents_body):
         aloc = f"{loc}.agents.{agent}"
         entry = _expect_dict(agents_body[agent], aloc)
@@ -548,11 +555,11 @@ def _parse_agents_block(
                 grid, templates, tuple(market_contracts[cid] for cid in slice_ids)
             )
         spec = _parse_spec(entry.get("choice"), local_names, f"{aloc}.choice", side, market)
-        parts.append(AggregatePart(agent, spec, slice_ids))
+        agents[agent] = spec, slice_ids
     if len(owned) < len(names):
         missing = [name for cid, name in enumerate(names) if cid not in owned]
         raise ParseError(f"contracts {missing} are owned by no agent", f"{loc}.agents")
-    return AggregateChoice(len(names), tuple(parts)), list(map(owned.get, range(len(names))))
+    return _assemble_side(len(names), agents), list(map(owned.get, range(len(names))))
 
 
 def to_document(

@@ -1,4 +1,4 @@
-"""Size bounds for exhaustive scans.
+"""Size bounds for exhaustive scans and their one refusal rule, :func:`refuse_above`.
 
 Every exhaustive checker refuses universes larger than a configured bound
 instead of silently taking minutes.  Bounds can be raised (or lowered) per
@@ -25,8 +25,9 @@ Environment variables:
 from __future__ import annotations
 
 import os
+from typing import Callable
 
-from .errors import SpecError
+from .errors import SizeBoundError, SpecError
 
 EXHAUSTIVE_DEFAULT = 12
 PAIRWISE_DEFAULT = 10
@@ -62,3 +63,13 @@ def pairwise_bound() -> int:
 def oracle_bound() -> int:
     """Bound for the 2**n stable-agreement enumeration."""
     return _from_env("ORACLE_BOUND", ORACLE_DEFAULT)
+
+
+def refuse_above(
+    size: int, bound: Callable[[], int], max_n: int | None, refusal: str, hint: str = ""
+) -> None:
+    """Raise ``SizeBoundError("<refusal>, bound is <limit><hint>")`` if ``size``
+    exceeds ``max_n``, else ``bound()``: the one refusal of every scan."""
+    limit = bound() if max_n is None else max_n
+    if size > limit:
+        raise SizeBoundError(f"{refusal}, bound is {limit}{hint}")

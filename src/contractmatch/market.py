@@ -32,7 +32,7 @@ from . import limits
 from .aggregation import aggregate_side
 from .choice import _RankingChoice
 from .engine import Instance
-from .errors import SizeBoundError, SpecError
+from .errors import SpecError
 from .preference import COHERENCE_ASSERTED
 from .sets import format_mask, ids_of, iter_submasks, mask_of
 
@@ -230,7 +230,6 @@ def check_money_monotone(
     must keep the cheaper one (side 2).  "Kept when offered on top" is
     answered by the side's ``kept_additions``, which asks only the owner.
     """
-    limit = limits.exhaustive_bound() if max_n is None else max_n
     violations: list[MoneyMonotoneViolation] = []
 
     for side in (1, 2):
@@ -241,11 +240,8 @@ def check_money_monotone(
             slices.setdefault(agent, []).append(cid)
         for agent in sorted(slices):
             ids = slices[agent]
-            if len(ids) > limit:
-                raise SizeBoundError(
-                    f"money-monotonicity scan refused: agent {agent!r} owns"
-                    f" {len(ids)} contracts, bound is {limit}"
-                )
+            refusal = f"money-monotonicity scan refused: agent {agent!r} owns {len(ids)} contracts"
+            limits.refuse_above(len(ids), limits.exhaustive_bound, max_n, refusal)
             above = dict.fromkeys(ids, 0)  # same-template contracts priced above each
             for x in ids:
                 for y in ids:

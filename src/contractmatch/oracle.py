@@ -16,7 +16,7 @@ from typing import Sequence
 from . import limits
 from .choice import tabulate
 from .engine import Instance
-from .errors import PreconditionError, SizeBoundError
+from .errors import PreconditionError
 from .preference import prefers
 from .sets import full_mask
 
@@ -58,11 +58,8 @@ def enumerate_stable_agreements(
     functions.
     """
     n = instance.n
-    limit = limits.oracle_bound() if max_n is None else max_n
-    if n > limit:
-        raise SizeBoundError(
-            f"stable-agreement enumeration refused: {n} contracts, bound is {limit}"
-        )
+    refusal = f"stable-agreement enumeration refused: {n} contracts"
+    limits.refuse_above(n, limits.oracle_bound, max_n, refusal)
     universe = full_mask(n)
     side1 = tabulate(instance.f1)
     t1, t2 = side1.entries, tabulate(instance.f2).entries

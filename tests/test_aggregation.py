@@ -32,6 +32,7 @@ from contractmatch.corpus import no_stable_agreement_instance
 from contractmatch.engine import ContractLabel, Instance
 from contractmatch.errors import DomainError, SpecError
 from contractmatch.generators import random_marriage_profile
+from contractmatch.instancefile import load, save
 from contractmatch.preference import COHERENCE_ASSERTED
 from contractmatch.sets import ids_of, mask_of
 
@@ -366,8 +367,13 @@ def _marriage_via_aggregate_side(men_prefs, women_prefs) -> Instance:
     )
 
 
-@pytest.mark.parametrize("n_men, n_women", [(1, 1), (3, 5), (5, 3), (12, 12)])
-def test_marriage_instance_equals_the_aggregate_side_build(n_men, n_women):
+@pytest.mark.parametrize(
+    "n_men, n_women", [(1, 1), (3, 3), (3, 5), (5, 3), (12, 12), (16, 16)]
+)
+def test_marriage_instance_equals_the_aggregate_side_build(n_men, n_women, tmp_path):
+    """The marriage builder, ``aggregate_side`` and an instance file's agents
+    blocks assemble the same sides.  The loaded instance differs from the
+    built one only by its coherence label ("unknown" against "asserted")."""
     men, women = random_marriage_profile(n_men * 100 + n_women, n_men, n_women)
     built = build_marriage_instance(men, women)
     expected = _marriage_via_aggregate_side(men, women)
@@ -375,6 +381,11 @@ def test_marriage_instance_equals_the_aggregate_side_build(n_men, n_women):
     assert built.names == expected.names and built.labels == expected.labels
     for side in (1, 2):
         assert built.side(side).parts == expected.side(side).parts
+    save(tmp_path / "marriage.json", built)
+    loaded = load(tmp_path / "marriage.json").instance
+    assert (loaded.names, loaded.f1, loaded.f2, loaded.labels) == (
+        expected.names, expected.f1, expected.f2, expected.labels
+    )
     if n_men >= 10:  # parts are in name order, so m10 comes before m2
         agents = [part.agent for part in built.f1.parts]
         assert agents.index("m10") < agents.index("m2")

@@ -13,12 +13,18 @@ from pathlib import Path
 import pytest
 
 from contractmatch.aggregation import build_marriage_instance
-from contractmatch.choice import Identity
+from contractmatch.choice import (
+    Identity,
+    ResponsiveQuota,
+    TableChoice,
+    tabulate,
+    valuation_choice,
+)
 from contractmatch.cli import main
 from contractmatch.corpus import FIXTURE_DIR, fixture_path
 from contractmatch.engine import Instance, auto_names, run
 from contractmatch.errors import SizeBoundError
-from contractmatch.generators import random_marriage_profile
+from contractmatch.generators import random_marriage_profile, random_valuation
 from contractmatch.instancefile import load, save
 
 from conftest import cycling_instance, deadline
@@ -505,6 +511,74 @@ def test_forms_outside_the_digest_are_pinned(form, fixture, code, human, payload
     assert run_cli(capsys, *argv) == (code, human, err)
 
 
+def _saved_instance(kind: str) -> Instance:
+    """A 3-contract instance whose side 1 is written as every-subset rows:
+    a ``valuation_argmax`` block (no shipped fixture has one) or a ``table``."""
+    if kind == "valuation":
+        f1 = valuation_choice(random_valuation(1, 3, "unit_demand"))
+    else:
+        f1 = TableChoice(3, tabulate(ResponsiveQuota(3, (2, 0, 1), 2)).entries)
+    return Instance(("a", "b", "c"), f1, Identity(3))
+
+
+_COHERENT = {
+    "coherent": True, "contraction": [], "path_independence": [],
+    "rejection_consistency": [], "substitutes": [],
+}
+_VALIDATE = (
+    "3 contracts\nside1: coherent\nside2: coherent\nvalid\n",
+    {"contracts": ["a", "b", "c"], "ok": True, "side1": _COHERENT, "side2": _COHERENT},
+)
+
+
+def _solved(chosen: list[str]) -> tuple[str, dict]:
+    return (
+        f"chosen: {{{', '.join(chosen)}}}\niterations: 1\nagreement: yes\nstable: yes\n",
+        {"agreement": True, "chosen": chosen, "iterations": 1, "proposer": 1, "stable": True},
+    )
+
+
+def _one_agreement(chosen: list[str]) -> tuple[str, dict]:
+    pair = [{"a": 0, "b": 0, "result": chosen}]
+    return (
+        f"1 stable agreement(s)\n  [0] {{{', '.join(chosen)}}}\n"
+        "meet/join verified against brute force on 1 pair(s)\n",
+        {
+            "below": [[True]], "count": 1, "join": pair, "meet": pair, "mismatches": [],
+            "stable_agreements": [chosen], "verified": True,
+        },
+    )
+
+
+# (kind, command) -> (human output, --json payload).
+_SAVED_FORMS = {
+    ("valuation", "validate"): _VALIDATE,
+    ("valuation", "solve"): _solved(["b"]),
+    ("valuation", "lattice"): _one_agreement(["b"]),
+    ("table", "validate"): _VALIDATE,
+    ("table", "solve"): _solved(["a", "c"]),
+    ("table", "lattice"): _one_agreement(["a", "c"]),
+}
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["human", "json"])
+@pytest.mark.parametrize("kind, command", sorted(_SAVED_FORMS))
+def test_forms_on_saved_row_blocks_are_pinned(kind, command, json_flag, tmp_path, capsys):
+    """A saved ``valuation_argmax`` or ``table`` side loads back as the
+    instance saved, and ``validate``, ``solve`` and ``lattice`` print exactly
+    these outputs.  The pinned forms above take shipped fixtures only, so
+    these, which need a saved file, are pinned here."""
+    inst = _saved_instance(kind)
+    path = tmp_path / f"{kind}.json"
+    save(path, inst)
+    assert load(path).instance == inst
+    human, payload = _SAVED_FORMS[kind, command]
+    if json_flag:
+        human = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    argv = [command, str(path), *(["--json"] if json_flag else [])]
+    assert run_cli(capsys, *argv) == (0, human, "")
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------
@@ -572,6 +646,47 @@ def test_exit_2_on_a_repeated_key(case, tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: key {key!r} appears twice in one object\n"
+
+
+# Blocks that their variant's constructor or market builder refuses, as
+# (fixture, path to the block, block fields to set, location, message).
+# Each was reported without a location.
+REFUSED_BLOCKS = {
+    "negative_quota": (
+        "identity_3", ("choice", "side2"),
+        {"variant": "responsive_quota", "order": ["a", "b", "c"], "quota": -1},
+        "choice.side2", "quota must be non-negative, got -1",
+    ),
+    "no_unit_cost": (
+        "economy_small", ("choice", "side1", "agents", "p1", "choice"), {"costs": {}},
+        "choice.side1.agents.p1.choice", "no unit cost declared for template 'widget'",
+    ),
+    "no_willingness_to_pay": (
+        "economy_small", ("choice", "side2", "agents", "c1", "choice"), {"wtp": {}},
+        "choice.side2.agents.c1.choice",
+        "no willingness-to-pay declared for template 'widget'",
+    ),
+    "zero_epsilon": (
+        "identity_3", ("choice", "side1"),
+        {"variant": "valuation_argmax", "epsilon": 0, "values": [
+            {"set": [x for i, x in enumerate("abc") if m >> i & 1], "value": m} for m in range(8)
+        ]},
+        "choice.side1", "scheme epsilon must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_BLOCKS))
+def test_exit_2_at_the_block_its_variant_refuses(case, tmp_path, capsys):
+    fixture, where, fields, location, message = REFUSED_BLOCKS[case]
+    doc = json.loads(fixture_path(fixture).read_text())
+    block = doc
+    for step in where:
+        block = block[step]
+    block.update(fields)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "solve", str(path)) == (2, "", f"error: {location}: {message}\n")
 
 
 def _one_contract_valuation(value: str) -> str:
@@ -841,6 +956,22 @@ def test_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_only_limits_constructs_size_bound_errors():
+    """Every size refusal is raised by ``limits.refuse_above``: no other
+    module of ``src/contractmatch`` calls ``SizeBoundError(``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "contractmatch"
+    constructing = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "SizeBoundError":
+                    constructing.append(f"{path.name}:{node.lineno}")
+    assert [site for site in constructing if not site.startswith("limits.py:")] == []
+    assert constructing, "limits.py constructs SizeBoundError"
 
 
 # One form per subcommand; each runs in a fresh interpreter, where a module

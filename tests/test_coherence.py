@@ -21,7 +21,11 @@ from contractmatch.coherence import (
     check_substitutes,
 )
 from contractmatch.corpus import no_stable_agreement_instance
+from contractmatch.engine import MODE_FULL, is_stable_set
 from contractmatch.errors import SizeBoundError, SpecError
+from contractmatch.generators import random_instance, random_money_economy, random_valuation
+from contractmatch.market import check_money_monotone
+from contractmatch.oracle import enumerate_stable_agreements
 from contractmatch.sets import iter_submasks
 
 from conftest import all_masks, random_contraction_table, random_coherent_function
@@ -329,6 +333,69 @@ def test_bound_override_via_environment(monkeypatch):
         monkeypatch.setenv("CONTRACTMATCH_EXHAUSTIVE_BOUND", bad)
         with pytest.raises(SpecError, match=f"CONTRACTMATCH_EXHAUSTIVE_BOUND .*'{bad}'"):
             check_contraction(Identity(2))
+
+
+_HINT = " (raise via max_n or the CONTRACTMATCH_*_BOUND environment variables)"
+
+
+def _size_refusals() -> dict:
+    """Each exhaustive scan refused at its bound: ``(variable, bound, call,
+    message)``, where ``call(max_n)`` runs the scan."""
+    inst, economy = random_instance(1, 6), random_money_economy(0)
+    valuation = random_valuation(1, 3, "unit_demand")
+    f = inst.f1
+    domain = "scan refused: domain has 6 contracts, bound is 5" + _HINT
+    return {
+        "coherence": ("EXHAUSTIVE", 5, lambda m: check_coherent(f, m), f"coherence {domain}"),
+        "coherence_pairwise": (
+            "PAIRWISE", 5, lambda m: check_coherent(f, m), f"coherence {domain}"
+        ),
+        "contraction": (
+            "EXHAUSTIVE", 5, lambda m: check_contraction(f, m), f"contraction {domain}"
+        ),
+        "irc": ("EXHAUSTIVE", 5, lambda m: check_irc(f, m), f"rejection-consistency {domain}"),
+        "substitutes": (
+            "PAIRWISE", 5, lambda m: check_substitutes(f, m), f"substitutes {domain}"
+        ),
+        "path_independence": (
+            "PAIRWISE", 5, lambda m: check_path_independence(f, m), f"path-independence {domain}"
+        ),
+        "full_stability": (
+            "EXHAUSTIVE", 5, lambda m: is_stable_set(inst, 0, MODE_FULL, m),
+            "full-mode stability scan refused: 6 outside contracts, bound is 5",
+        ),
+        "oracle": (
+            "ORACLE", 5, lambda m: enumerate_stable_agreements(inst, m),
+            "stable-agreement enumeration refused: 6 contracts, bound is 5",
+        ),
+        "money_monotone": (
+            "EXHAUSTIVE", 1, lambda m: check_money_monotone(economy, m),
+            "money-monotonicity scan refused: agent 'p1' owns 12 contracts, bound is 1",
+        ),
+        "valuation_argmax": (  # takes no max_n
+            "PAIRWISE", 2, lambda m: valuation_choice(valuation),
+            "valuation argmax refused: building its table takes 3^3 steps for 3 contracts,"
+            " bound is 2",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_size_refusals()))
+def test_every_size_refusal_is_pinned(case, monkeypatch):
+    """Each scan's refusal, word for word, through ``max_n`` and through its
+    bound variable; an invalid variable raises :class:`SpecError` instead."""
+    variable, bound, call, message = _size_refusals()[case]
+    if case != "valuation_argmax":
+        with pytest.raises(SizeBoundError) as caught:
+            call(bound)
+        assert str(caught.value) == message
+    monkeypatch.setenv(f"CONTRACTMATCH_{variable}_BOUND", str(bound))
+    with pytest.raises(SizeBoundError) as caught:
+        call(None)
+    assert str(caught.value) == message
+    monkeypatch.setenv(f"CONTRACTMATCH_{variable}_BOUND", "bogus")
+    with pytest.raises(SpecError, match=f"CONTRACTMATCH_{variable}_BOUND"):
+        call(None)
 
 
 def test_a_bound_too_long_to_convert_is_a_spec_error(monkeypatch):
