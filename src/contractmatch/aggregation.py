@@ -131,8 +131,8 @@ class AggregateChoice(ChoiceFunction):
             raise SpecError(f"contracts {missing} are owned by no agent (label gap)")
         if len({p.agent for p in self.parts}) != len(self.parts):
             raise SpecError("agent names must be unique within a side")
-        # Per-agent tuples are built from lists, here, in aggregate_side, in
-        # the generators and in the ranking evaluators: CPython allocates a
+        # Per-agent tuples are built from lists, here, in the side assembly,
+        # in the generators and in the ranking evaluators: CPython allocates a
         # generator-fed tuple at one size and frees it at another, so every
         # instance built would leave tuples in the interpreter's free lists,
         # which only a full garbage collection empties (+2.5 MB of bulk
