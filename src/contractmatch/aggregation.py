@@ -32,19 +32,23 @@ minus its slice), so each agent touched costs a constant number of
 full-width mask operations.  A side made only of
 Gale-Shapley agents (each a ``_Ranking`` with quota 1 and one order with a
 non-empty top, decided when the side is built) also keeps each contract's
-rank in its owner's order (``_rank``), and can run deferred acceptance
-against another such side in :meth:`AggregateChoice.cursor_rounds`,
-rounds 0.. included: each rejected proposer resumes after its refused
-contract, and each receiver compares a new offer with its held contract by
-rank.  Those rounds read pool membership from the pool's binary digits,
-one character per contract, and record each round's offers and
-rejections as ids, so an offer or a rejection costs the same at any
-width.
+rank in its owner's order (``_rank``), the contract after each one in its
+owner's order (``_next``) and each agent's first entry (``_firsts``), and
+can run deferred acceptance against another such side in
+:meth:`AggregateChoice.cursor_rounds`, rounds 0.. included: each rejected
+proposer's next offer is read from ``_next`` past its refused contract,
+and each receiver compares a new offer with its held contract by rank.
+Those rounds read pool membership from a byte table of the pool's binary
+digits, clear each rejected contract in it, and record each round's
+offers and rejections as ids, so an offer or a rejection costs the same
+at any width; the final pool is read back from the table once.
 :func:`~contractmatch.engine.run` takes it for every marriage market and
 for no side with any other kind of agent.  The singleton stability verdict
 between two such sides is :meth:`AggregateChoice.rank_blocker`, read from
 the same arrays: the contracts a side keeps on top of a set are those
-ranked above the best contract their owner holds in it.
+ranked above the best contract their owner holds in it.  Every id array
+takes the narrowest typecode that holds its largest value
+(:func:`~contractmatch.sets.id_typecode`).
 """
 
 from __future__ import annotations
@@ -100,11 +104,21 @@ class AggregateChoice(ChoiceFunction):
     Evaluation is label-local: an agent's contribution depends only on the
     menu's intersection with its slice.  When every agent is a Gale-Shapley
     agent (a ``_Ranking`` with quota 1 and one order with a non-empty top,
-    whose ``(top, tail)`` is ``splits[0]``), the side has ``_rank``: each
-    contract's position in its owner's order (0 for the top, ``i + 1`` for
-    ``tail[i]``, ``n`` for a contract outside its owner's piece), and a run
-    between two such sides takes :meth:`cursor_rounds` from round 0, and
-    their singleton stability verdict is :meth:`rank_blocker`.
+    whose ``(top, tail)`` is ``splits[0]``), the side has three more
+    read-only arrays, built in one pass over the orders:
+
+    * ``_rank``: each contract's position in its owner's order (0 for the
+      top, ``i + 1`` for ``tail[i]``, ``n`` for a contract outside its
+      owner's piece), typed by its largest entry, so a marriage side's
+      ranks take one byte each;
+    * ``_next``: ``n + 1`` entries, the contract after ``c`` in its
+      owner's order at ``c`` (``n`` after the last, and for a contract
+      outside every order), and the sentinel ``_next[n] == n``;
+    * ``_firsts``: each agent's first entry, by part index.
+
+    A run between two such sides takes :meth:`cursor_rounds` from round 0,
+    and their singleton stability verdict is :meth:`rank_blocker`.
+    ``_owner`` is typed by the number of agents, one byte for up to 256.
     """
 
     n: int
@@ -157,13 +171,20 @@ class AggregateChoice(ChoiceFunction):
             and len(agent.splits) == 1 and agent.splits[0][0]
             for agent in agents
         ):
-            rank = [self.n] * self.n  # n: outside its owner's piece
+            n = self.n
+            rank = [n] * n  # n: outside its owner's piece
+            succ = [n] * (n + 1)  # n: the end of an order, and the sentinel
+            firsts = []
             for agent in agents:
                 top, tail = agent.splits[0]
-                rank[top.bit_length() - 1] = 0
-                for i, c in enumerate(tail, 1):
-                    rank[c] = i
-            object.__setattr__(self, "_rank", array(id_typecode(self.n + 1), rank))
+                c = top.bit_length() - 1
+                firsts.append(c)
+                rank[c] = 0
+                for i, d in enumerate(tail, 1):
+                    rank[d], succ[c], c = i, d, d
+            object.__setattr__(self, "_rank", array(id_typecode(max(rank, default=0) + 1), rank))
+            object.__setattr__(self, "_next", array(id_typecode(n + 1), succ))
+            object.__setattr__(self, "_firsts", array(id_typecode(n), firsts))
         object.__setattr__(self, "_agents", agents)
 
     def owners(self) -> tuple[str, ...]:
@@ -207,52 +228,54 @@ class AggregateChoice(ChoiceFunction):
 
     def cursor_rounds(
         self, receiver: AggregateChoice, pool: int
-    ) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    ) -> tuple[list[list[int]], list[list[int]], list[int], int]:
         """Deferred acceptance from ``pool``, rounds 0.., this side
         proposing to ``receiver``, both sides made only of Gale-Shapley
         agents (both have ``_rank``).
 
         Returns the run as ids: each round's new offers and its rejections,
         round 0 first, and each receiver's held contract at the end (-1:
-        none).  A :class:`~contractmatch.engine.Trace` keeps the two lists
-        as they are: they are the sets the generic rounds record as masks.
-        The held contracts are the outcome.  Each agent's ``piece`` is
-        exactly its order, so a proposer's offer is
-        the first entry of its order still in the pool, and a receiver
-        keeps the best offer of its piece.  In round 0 each proposer offers
-        its first order entry in the pool; a proposer refused ``c`` resumes
-        at tail index ``_rank[c]``, just after it, so each of its order
-        entries is read at most once per run.  Pool membership is one
-        character per contract, the pool's binary digits read once: no
-        proposer reads an entry at or before a contract it was refused, so
-        the rejected contracts never need to leave the table.  A receiver
-        holds one contract and keeps a new offer ``d`` when ``_rank[d]`` is
-        below its held contract's rank, one comparison per offer; an offer
-        outside its piece ranks ``n`` and is refused.  A quota-1 receiver
-        keeps only offered contracts, so pools only shrink, and the run
-        ends at the first round that rejects nothing.  No full-width int is
-        built per offer, rejection or round.
+        none), then the final pool as a mask.  A
+        :class:`~contractmatch.engine.Trace` keeps the two lists as they
+        are: they are the sets the generic rounds record as masks.  The
+        held contracts are the outcome.  Each agent's ``piece`` is exactly
+        its order, so a proposer's offer is the first entry of its order
+        still in the pool, and a receiver keeps the best offer of its
+        piece.
+
+        Pool membership is a ``bytearray`` of the pool's binary digits,
+        ``"1"`` or ``"0"`` at each contract's id, read once from ``pool``,
+        with a ``"1"`` at index ``n``: ``_next`` of each order's last entry
+        is that sentinel, so every walk stops without a bounds test.  In
+        round 0 each proposer walks from its ``_firsts`` entry through
+        ``_next`` to the first entry in the pool; a proposer refused ``c``
+        walks on from ``_next[c]``, so each entry of ``_next`` is read at
+        most once per run, and a walk that reaches ``n`` sends nothing.
+        Each rejected contract is cleared in the table as it is rejected
+        (no walk reads it again, since it precedes its proposer's next
+        offer), so at the end the table holds the final pool, which one
+        ``int(..., 2)`` reads back.  A receiver holds one contract and
+        keeps a new offer ``d`` when ``_rank[d]`` is below its held
+        contract's rank, one comparison per offer; an offer outside its
+        piece ranks ``n`` and is refused.  A quota-1 receiver keeps only
+        offered contracts, so pools only shrink, and the run ends at the
+        first round that rejects nothing.  No full-width int is built per
+        offer, rejection or round.
         """
-        p_owner, p_rank = self._owner, self._rank
+        n, succ = self.n, self._next
         r_owner, r_rank = receiver._owner, receiver._rank
         held = [-1] * len(receiver._agents)  # each receiver's held contract
         best = [receiver.n] * len(receiver._agents)  # and its rank; n: none
-        # The pool's binary digits, lowest id first: "1" for each contract of the pool.
-        in_pool = bin(pool)[:1:-1].ljust(self.n, "0")
+        # The pool's binary digits, lowest id first, and "1" at n: "0" (48)
+        # marks a contract outside the pool, and every walk stops at n.
+        in_pool = bytearray(bin(pool | 1 << n)[:1:-1], "ascii")
         sents, rejections = [], []
         sent = []  # the round's new offers
-        p_tails = []  # each proposer's tail, so a rejection costs one subscript
-        for agent in self._agents:
-            top, tail = agent.splits[0]
-            p_tails.append(tail)
-            first = top.bit_length() - 1
-            if in_pool[first] == "1":
-                sent.append(first)
-                continue
-            for d in tail:
-                if in_pool[d] == "1":
-                    sent.append(d)
-                    break
+        for e in self._firsts:
+            while in_pool[e] == 48:
+                e = succ[e]
+            if e < n:
+                sent.append(e)
         while True:
             rejected, resent = [], []
             for d in sent:
@@ -264,21 +287,22 @@ class AggregateChoice(ChoiceFunction):
                 else:
                     loser = d
                 rejected.append(loser)
-                # Its proposer's next offer: the entries after the loser.
-                tail, i = p_tails[p_owner[loser]], p_rank[loser]
-                while i < len(tail):
-                    e = tail[i]
-                    if in_pool[e] == "1":
-                        resent.append(e)
-                        break
-                    i += 1
+                in_pool[loser] = 48
+                # Its proposer's next offer: the first entry after the loser in the pool.
+                e = succ[loser]
+                while in_pool[e] == 48:
+                    e = succ[e]
+                if e < n:
+                    resent.append(e)
             sents.append(sent)
             rejections.append(rejected)
             if not rejected:
-                return sents, rejections, held
+                return sents, rejections, held, int(in_pool[::-1], 2) ^ 1 << n
             sent = resent
 
-    def rank_blocker(self, other: AggregateChoice, subset: int) -> int:
+    def rank_blocker(
+        self, other: AggregateChoice, subset: int, ids: Sequence[int] | None = None
+    ) -> int:
         """The lowest-id contract outside ``subset`` that this side and
         ``other`` both keep on top of it, as a one-bit mask (0 for none),
         both sides made only of Gale-Shapley agents (both have ``_rank``).
@@ -286,25 +310,39 @@ class AggregateChoice(ChoiceFunction):
         Such an agent keeps ``x`` from ``subset | {x}`` exactly when
         ``x`` ranks above the best contract the agent holds in ``subset``.
         One pass over ``subset`` finds each agent's best rank on each side
-        (``n``: none).  The entries ranked above an agent's best rank, read
-        from its top and tail, are exactly what that side keeps; only the
-        side whose best ranks sum lower is walked, and each entry ``x`` is
-        tested against the other side with ``rank[x] < best[owner[x]]``.
-        The lowest such id does not depend on the side walked, so the
-        verdict equals the two sides' ``kept_additions``.
+        (``n``: none); a caller that has ``subset`` as ids (a run's held
+        contracts, whose -1 entries are skipped) passes them as ``ids``,
+        and the pass reads them instead of peeling ``subset``'s bits.  The
+        entries ranked above an agent's best rank, read from its top and
+        tail, are exactly what that side keeps; only the side whose best
+        ranks sum lower is walked, and each entry ``x`` is tested against
+        the other side with ``rank[x] < best[owner[x]]``.  The lowest such
+        id does not depend on the side walked, so the verdict equals the
+        two sides' ``kept_additions``.
         """
         n = self.n
         best, other_best = [n] * len(self._agents), [n] * len(other._agents)
         owner, rank, other_owner, other_rank = self._owner, self._rank, other._owner, other._rank
-        while subset:
-            c = subset.bit_length() - 1
-            subset ^= 1 << c
-            a, r = owner[c], rank[c]
-            if r < best[a]:
-                best[a] = r
-            a, r = other_owner[c], other_rank[c]
-            if r < other_best[a]:
-                other_best[a] = r
+        if ids is None:
+            while subset:
+                c = subset.bit_length() - 1
+                subset ^= 1 << c
+                a, r = owner[c], rank[c]
+                if r < best[a]:
+                    best[a] = r
+                a, r = other_owner[c], other_rank[c]
+                if r < other_best[a]:
+                    other_best[a] = r
+        else:
+            for c in ids:
+                if c < 0:
+                    continue
+                a, r = owner[c], rank[c]
+                if r < best[a]:
+                    best[a] = r
+                a, r = other_owner[c], other_rank[c]
+                if r < other_best[a]:
+                    other_best[a] = r
         agents = self._agents
         if sum(other_best) < sum(best):
             agents, best, other_owner, other_rank, other_best = (

@@ -34,16 +34,19 @@ evaluator is a ranking of one order with quota 1, as in every marriage
 market), each side has a ``_rank`` array, and the whole run, round 0
 included, goes to
 :meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds` instead:
-each proposer resumes its order after a refused contract, and each receiver
-compares a new offer with its held contract by their ranks in its order.
-Those rounds build no full-width int: they record each round's new offers
-and rejections as ids.  The outcome is the receivers' held contracts, and
-the final pool the first pool minus the rejected ids.  The generic rounds
+each proposer's next offer after a refused contract is read through the
+side's successor array (``_next``), and each receiver compares a new offer
+with its held contract by their ranks in its order.  Those rounds build no
+full-width int per offer or round: they record each round's new offers and
+rejections as ids.  The outcome is the receivers' held contracts, and the
+final pool is read back from the rounds' pool-membership table, from which
+each rejected contract was cleared as it was rejected.  The generic rounds
 record the same two sets of each round as masks, and :class:`Trace` keeps
 either record, rebuilding the per-round pools, offers and accepted sets
 only when they are read.
-The singleton verdict of two such sides, for a run's outcome or for any
-subset given to :func:`is_stable_set`, is
+The singleton verdict of two such sides, for a run's outcome (read from
+the held ids) or for any subset given to :func:`is_stable_set` (read from
+its mask), is
 :meth:`~contractmatch.aggregation.AggregateChoice.rank_blocker`: an outside
 contract blocks exactly when it ranks above the best contract each of its
 two owners holds.  Both choices are made from the sides themselves (both
@@ -365,18 +368,16 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
     if z >> instance.n:
         raise DomainError(f"pool {z:#x} exceeds the {instance.n}-contract universe")
 
+    ids = None  # the outcome's ids, when the rounds give them
     if hasattr(propose, "_rank") and hasattr(other, "_rank"):
-        sent, rejected, held = propose.cursor_rounds(other, z)
-        gone = chosen = 0
-        for ids in rejected:
-            for c in ids:
-                gone |= 1 << c
-        for c in held:
+        sent, rejected, ids, final = propose.cursor_rounds(other, z)
+        chosen = 0
+        for c in ids:
             if c >= 0:
                 chosen |= 1 << c
         keep = chosen  # the last round rejected nothing
-        trace = Trace(z, sent, rejected, z ^ gone, True)
-        z = trace.final_pool
+        trace = Trace(z, sent, rejected, final, True)
+        z = final
     else:
         first, held = z, 0
         offer = propose.choose_mask(z)
@@ -405,7 +406,7 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
         proposer=proposer,
         trace=trace,
         agreement=AgreementVerdict(chosen, *choices),
-        stability=_singleton_stability(instance, chosen),
+        stability=_singleton_stability(instance, chosen, ids),
         coherence=instance.coherence,
     )
 
@@ -424,10 +425,12 @@ def is_agreement(instance: Instance, subset: int) -> AgreementVerdict:
     )
 
 
-def _singleton_stability(instance: Instance, subset: int) -> StabilityVerdict:
+def _singleton_stability(
+    instance: Instance, subset: int, ids: Sequence[int] | None = None
+) -> StabilityVerdict:
     f1, f2 = instance.f1, instance.f2
     if hasattr(f1, "_rank") and hasattr(f2, "_rank"):
-        return StabilityVerdict(subset, MODE_SINGLETON, f1.rank_blocker(f2, subset) or None)
+        return StabilityVerdict(subset, MODE_SINGLETON, f1.rank_blocker(f2, subset, ids) or None)
     # Side 2 is asked only about the outside contracts side 1 keeps.
     both = f2.kept_additions(subset, f1.kept_additions(subset, instance.universe & ~subset))
     return StabilityVerdict(subset, MODE_SINGLETON, both & -both or None)

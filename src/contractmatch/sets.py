@@ -18,9 +18,10 @@ def full_mask(n: int) -> int:
 
 
 def id_typecode(bound: int) -> str:
-    """The ``array`` typecode for ids ``0 .. bound - 1``: two-byte ``"H"``
-    when they all fit in 16 bits, ``"L"`` otherwise."""
-    return "H" if bound <= 1 << 16 else "L"
+    """The ``array`` typecode for ids ``0 .. bound - 1``: one-byte ``"B"``
+    when they all fit in 8 bits, two-byte ``"H"`` when they fit in 16,
+    ``"L"`` otherwise."""
+    return "B" if bound <= 1 << 8 else "H" if bound <= 1 << 16 else "L"
 
 
 def mask_of(contracts: Iterable[int]) -> int:

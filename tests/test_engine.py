@@ -888,49 +888,73 @@ def test_cursor_rounds_are_taken_by_two_sides_of_top_agents_only(monkeypatch):
 
 
 class ReadLog:
-    """An order tail that logs the positions read from it."""
+    """A sequence that logs the positions read from it."""
 
-    def __init__(self, tail):
-        self.tail, self.reads = tail, []
+    def __init__(self, items):
+        self.items, self.reads = items, []
 
     def __len__(self) -> int:
-        return len(self.tail)
+        return len(self.items)
 
     def __getitem__(self, i: int) -> int:
         self.reads.append(i)
-        return self.tail[i]
+        return self.items[i]
 
     def __iter__(self):
-        for i, c in enumerate(self.tail):
+        for i, c in enumerate(self.items):
             self.reads.append(i)
             yield c
 
 
-def test_cursor_rounds_read_each_proposer_entry_at_most_once():
-    """Round 0 walks each proposer's order from its start, and a rejected
-    proposer resumes after its refused contract: over a whole run, round 0
-    included, it reads each entry of its order at most once."""
+def _read_once_runs():
+    """The cursor cases from the universe and a random pool, then a 3x3
+    market from the empty pool and from pools that hold none of one
+    proposer's order, whose walks end on the sentinel: each as
+    ``(instance, proposer, pool, the contracts walked to their end)``."""
     rng = random.Random(5)
     for inst in _cursor_cases():
         for proposer in (1, 2):
             for pool in (inst.universe, rng.getrandbits(inst.n)):
-                expected = run(inst, proposer, pool)
-                propose, other = inst.side(proposer), inst.side(3 - proposer)
-                splits = [agent.splits for agent in propose._agents]
-                logs = [ReadLog(tail) for ((_, tail),) in splits]
-                for agent, ((top, _),), log in zip(propose._agents, splits, logs):
-                    agent.splits = ((top, log),)
-                try:
-                    sent, rejected, held = propose.cursor_rounds(other, pool)
-                finally:
-                    for agent, kept in zip(propose._agents, splits):
-                        agent.splits = kept
-                gone = mask_of(c for ids in rejected for c in ids)
-                assert Trace(pool, sent, rejected, pool ^ gone, True) == expected.trace
-                assert mask_of(c for c in held if c >= 0) == expected.chosen
-                for log in logs:
-                    assert len(set(log.reads)) == len(log.reads)
-                    assert set(log.reads) <= set(range(len(log.tail)))
+                yield inst, proposer, pool, ()
+    inst = build_marriage_instance(*random_marriage_profile(2, 3, 3))
+    for proposer in (1, 2):
+        yield inst, proposer, 0, range(inst.n)
+        for part in inst.side(proposer).parts:
+            yield inst, proposer, inst.universe & ~mask_of(part.contract_ids), part.contract_ids
+
+
+def test_cursor_rounds_read_each_proposer_entry_at_most_once():
+    """Round 0 walks each proposer's order from its first entry
+    (``_firsts``), and a rejected proposer resumes after its refused
+    contract through ``_next``: over a whole run, round 0 included, each
+    entry of either array is read at most once, and the sentinel entry
+    ``_next[n]`` never.  A proposer none of whose order is in the pool
+    reads its whole chain and stops on the sentinel."""
+    reads = 0
+    for inst, proposer, pool, walked in _read_once_runs():
+        expected = run(inst, proposer, pool)
+        propose, other = inst.side(proposer), inst.side(3 - proposer)
+        kept = {name: getattr(propose, name) for name in ("_next", "_firsts")}
+        logs = {name: ReadLog(values) for name, values in kept.items()}
+        for name, log in logs.items():
+            object.__setattr__(propose, name, log)
+        try:
+            sent, rejected, held, final = propose.cursor_rounds(other, pool)
+        finally:
+            for name, values in kept.items():
+                object.__setattr__(propose, name, values)
+        assert Trace(pool, sent, rejected, final, True) == expected.trace
+        assert final == expected.trace.final_pool
+        assert mask_of(c for c in held if c >= 0) == expected.chosen
+        for log in logs.values():
+            assert len(set(log.reads)) == len(log.reads)
+            assert set(log.reads) <= set(range(len(log.items)))
+            reads += len(log.reads)
+        assert inst.n not in logs["_next"].reads
+        assert set(walked) <= set(logs["_next"].reads)
+        if not pool:
+            assert sent == [[]] and rejected == [[]]
+    assert reads
 
 
 def test_a_long_cursor_run_keeps_its_history_as_ids():
@@ -1006,15 +1030,44 @@ def test_rank_is_each_contracts_place_in_its_owners_order():
     assert outside
 
 
+def test_the_successor_chains_are_the_orders():
+    """Following ``_next`` from ``_firsts[a]`` gives agent ``a``'s order,
+    read from its spec, and stops at the sentinel ``n``, where ``_next[n]``
+    is ``n``; no contract outside its owner's piece (an unaffordable one of
+    a unit-demand consumer) is in any chain."""
+    outside = 0
+    for inst in _cursor_cases():
+        for side in (inst.f1, inst.f2):
+            n, chained = side.n, set()
+            assert len(side._next) == n + 1 and side._next[n] == n
+            assert len(side._firsts) == len(side.parts)
+            for part, c in zip(side.parts, side._firsts):
+                (order,), _ = part.spec._orders_and_quota()
+                chain = []
+                while c != n and len(chain) <= n:  # a cycle fails below, not hangs
+                    chain.append(c)
+                    c = side._next[c]
+                assert chain == [part.contract_ids[c] for c in order]
+                chained.update(chain)
+            off_piece = {g for g in range(n) if side._rank[g] == n}
+            assert chained == set(range(n)) - off_piece
+            outside += len(off_piece)
+    assert outside
+
+
 def test_a_256x256_market_takes_the_wide_rank_array():
-    """65 536 contracts do not fit the narrow typecode with their sentinel
-    ``n``; the wide one holds it, and it is never a real rank.  Both runs
-    give classical Gale-Shapley's matchings."""
+    """Ranks are typed by the largest one stored: every contract of a
+    256x256 market is in its owner's piece, so its ranks fit one byte.
+    The successor array holds the sentinel ``n`` (65 536), which needs the
+    wide typecode, and it is never a real contract.  Both runs give
+    classical Gale-Shapley's matchings."""
     men, women = random_marriage_profile(3, 256, 256)
     inst = build_marriage_instance(men, women)
     for side in (inst.f1, inst.f2):
-        assert side._rank.typecode == "L"
+        assert side._rank.typecode == "B"
         assert max(side._rank) == 255 < side.n
+        assert side._next.typecode == "L"
+        assert side._next[side.n] == side.n == 65_536
     for proposer, pairs in (
         (1, classical_gale_shapley(men, women)),
         (2, {(m, w) for w, m in classical_gale_shapley(women, men)}),
@@ -1070,9 +1123,12 @@ def test_the_rank_verdict_gives_the_generic_verdict():
 
 
 def test_the_rank_verdict_on_a_256x256_market():
-    """The wide (``L``) rank arrays give the generic verdict too."""
+    """A 256x256 market's one-byte rank arrays, beside its wide (``L``)
+    successor arrays, give the generic verdict too."""
     inst = build_marriage_instance(*random_marriage_profile(3, 256, 256))
-    assert inst.f1._rank.typecode == inst.f2._rank.typecode == "L"
+    for side in (inst.f1, inst.f2):
+        assert side._rank.typecode == "B" and max(side._rank) == 255
+        assert side._next.typecode == "L"
     rng = random.Random(256)
     for subset in _verdict_subsets(inst, rng):
         blocker = _kept_by_both(inst, subset)
@@ -1140,6 +1196,21 @@ def test_phases_script_splits_a_cycle(workload):
     assert last, out[-1]
     run_ms, verdict_ms, rounds_ms = map(float, last.groups()[:3])
     assert 0 < verdict_ms and abs(run_ms - verdict_ms - rounds_ms) < 0.002
+
+
+def test_phases_script_times_the_cycle_after_calibration():
+    """The line before ``scripts/phases.py``'s last gives the cycle's ``run``
+    time with a host-speed calibration after each item, scaled as the
+    benchmark worker scales it, and in wall time."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "phases.py"),
+         "--workload", "marriage", "--seed", "1", "--passes", "1"],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    line = re.fullmatch(r"calibrated run (\d+\.\d+) ms scaled (\d+\.\d+) ms wall", out[-2])
+    assert line, out[-2]
+    assert all(float(ms) > 0 for ms in line.groups())
 
 
 def test_80x80_marriage_is_fast():

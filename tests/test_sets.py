@@ -28,9 +28,13 @@ def test_full_mask():
 
 
 def test_id_typecode_takes_the_exclusive_bound_of_the_ids():
-    assert id_typecode(0) == id_typecode(65_535) == id_typecode(65_536) == "H"
+    assert id_typecode(0) == id_typecode(255) == id_typecode(256) == "B"
+    assert id_typecode(257) == id_typecode(65_535) == id_typecode(65_536) == "H"
     assert id_typecode(65_537) == "L"
-    # The two-byte code holds the largest id below 65 536; the next needs "L".
+    # Each code holds the largest id below its bound; the next id needs a wider one.
+    array(id_typecode(256), [255])
+    with pytest.raises(OverflowError):
+        array("B", [256])
     array(id_typecode(65_536), [65_535])
     with pytest.raises(OverflowError):
         array("H", [65_536])
