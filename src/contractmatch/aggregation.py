@@ -63,7 +63,7 @@ from .choice import ChoiceFunction, TopOfOrder, _Ranking
 from .engine import Instance
 from .errors import DomainError, SpecError
 from .preference import COHERENCE_ASSERTED
-from .sets import full_mask, id_typecode, mask_of
+from .sets import full_mask, id_typecode, ids_of, mask_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,11 +309,10 @@ class AggregateChoice(ChoiceFunction):
 
         Such an agent keeps ``x`` from ``subset | {x}`` exactly when
         ``x`` ranks above the best contract the agent holds in ``subset``.
-        One pass over ``subset`` finds each agent's best rank on each side
-        (``n``: none); a caller that has ``subset`` as ids (a run's held
-        contracts, whose -1 entries are skipped) passes them as ``ids``,
-        and the pass reads them instead of peeling ``subset``'s bits.  The
-        entries ranked above an agent's best rank, read from its top and
+        One pass over ``subset``'s ids finds each agent's best rank on each
+        side (``n``: none); they are read from ``ids`` when the caller has
+        them (a run's held contracts, whose -1 entries are skipped), and
+        from :func:`~contractmatch.sets.ids_of` otherwise.  The entries ranked above an agent's best rank, read from its top and
         tail, are exactly what that side keeps; only the side whose best
         ranks sum lower is walked, and each entry ``x`` is tested against
         the other side with ``rank[x] < best[owner[x]]``.  The lowest such
@@ -323,26 +322,15 @@ class AggregateChoice(ChoiceFunction):
         n = self.n
         best, other_best = [n] * len(self._agents), [n] * len(other._agents)
         owner, rank, other_owner, other_rank = self._owner, self._rank, other._owner, other._rank
-        if ids is None:
-            while subset:
-                c = subset.bit_length() - 1
-                subset ^= 1 << c
-                a, r = owner[c], rank[c]
-                if r < best[a]:
-                    best[a] = r
-                a, r = other_owner[c], other_rank[c]
-                if r < other_best[a]:
-                    other_best[a] = r
-        else:
-            for c in ids:
-                if c < 0:
-                    continue
-                a, r = owner[c], rank[c]
-                if r < best[a]:
-                    best[a] = r
-                a, r = other_owner[c], other_rank[c]
-                if r < other_best[a]:
-                    other_best[a] = r
+        for c in ids_of(subset) if ids is None else ids:
+            if c < 0:
+                continue
+            a, r = owner[c], rank[c]
+            if r < best[a]:
+                best[a] = r
+            a, r = other_owner[c], other_rank[c]
+            if r < other_best[a]:
+                other_best[a] = r
         agents = self._agents
         if sum(other_best) < sum(best):
             agents, best, other_owner, other_rank, other_best = (

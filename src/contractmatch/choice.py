@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import limits
 from .errors import DomainError, SpecError
-from .sets import format_mask, full_mask, id_typecode, iter_submasks, mask_of
+from .sets import format_mask, full_mask, id_typecode, ids_of, iter_submasks, mask_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -93,11 +93,9 @@ class ChoiceFunction:
 
     def _kept_additions(self, subset: int, candidates: int) -> int:
         kept = 0
-        while candidates:
-            xbit = candidates & -candidates
-            if self.choose_mask(subset | xbit) & xbit:
-                kept |= xbit
-            candidates ^= xbit
+        for x in ids_of(candidates):
+            if self.choose_mask(subset | 1 << x) >> x & 1:
+                kept |= 1 << x
         return kept
 
     def _relabelled(self, ids: Sequence[int], piece: int):
@@ -115,7 +113,7 @@ class ChoiceFunction:
 
 class _Mapped:
     """A function evaluated through ``choose_mask`` and ``kept_additions``
-    on local ids, mapped from and to global ids one set bit at a time."""
+    on local ids, mapped from and to global ids through ``ids_of``."""
 
     __slots__ = ("spec", "ids", "piece")
 
@@ -123,12 +121,8 @@ class _Mapped:
         self.spec, self.ids, self.piece = spec, ids, piece
 
     def _to_local(self, subset: int) -> int:
-        ids, share, out = self.ids, subset & self.piece, 0
-        while share:
-            low = share & -share
-            out |= 1 << bisect_left(ids, low.bit_length() - 1)
-            share ^= low
-        return out
+        ids = self.ids
+        return mask_of([bisect_left(ids, c) for c in ids_of(subset & self.piece)])
 
     def _choose(self, subset: int) -> int:
         return _lift(self.ids, self.spec.choose_mask(self._to_local(subset)))
@@ -140,12 +134,7 @@ class _Mapped:
 
 def _lift(ids: Sequence[int], local_mask: int) -> int:
     """The global mask of ``local_mask``, local id ``i`` being global id ``ids[i]``."""
-    out = 0
-    while local_mask:
-        low = local_mask & -local_mask
-        out |= 1 << ids[low.bit_length() - 1]
-        local_mask ^= low
-    return out
+    return mask_of([ids[i] for i in ids_of(local_mask)])
 
 
 class _Ranking:

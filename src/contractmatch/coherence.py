@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 from . import limits
 from .choice import ChoiceFunction, tabulate
-from .sets import format_mask, iter_submasks
+from .sets import format_mask, ids_of, iter_submasks
 
 AXIOM_CONTRACTION = "contraction"
 AXIOM_IRC = "rejection-consistency"
@@ -159,12 +159,9 @@ def _contraction_violations(table: Sequence[int]) -> list[ViolationReport]:
 def _irc_violations(table: Sequence[int]) -> list[ViolationReport]:
     out = []
     for m, chosen in enumerate(table):
-        rejected = m & ~chosen
-        while rejected:
-            xbit = rejected & -rejected
-            if table[m ^ xbit] & ~chosen:
-                out.append(ViolationReport(AXIOM_IRC, m, m ^ xbit, xbit.bit_length() - 1))
-            rejected ^= xbit
+        for x in ids_of(m & ~chosen):
+            if table[m ^ 1 << x] & ~chosen:
+                out.append(ViolationReport(AXIOM_IRC, m, m ^ 1 << x, x))
     return out
 
 

@@ -45,8 +45,8 @@ record the same two sets of each round as masks, and :class:`Trace` keeps
 either record, rebuilding the per-round pools, offers and accepted sets
 only when they are read.
 The singleton verdict of two such sides, for a run's outcome (read from
-the held ids) or for any subset given to :func:`is_stable_set` (read from
-its mask), is
+the held ids) or for any subset given to :func:`is_stable_set` (read
+through :func:`~contractmatch.sets.ids_of`), is
 :meth:`~contractmatch.aggregation.AggregateChoice.rank_blocker`: an outside
 contract blocks exactly when it ranks above the best contract each of its
 two owners holds.  Both choices are made from the sides themselves (both

@@ -23,6 +23,7 @@ from .choice import (
 )
 from .engine import Instance, auto_names
 from .preference import COHERENCE_ASSERTED
+from .sets import ids_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -149,13 +150,13 @@ def random_valuation(
     if family == "additive":
         item = [Fraction(rng.randint(-4, 9)) for _ in range(n)]
         return tuple(
-            sum((item[i] for i in range(n) if m >> i & 1), Fraction(0))
+            sum((item[i] for i in ids_of(m)), Fraction(0))
             for m in range(size)
         )
     if family == "unit_demand":
         item = [Fraction(rng.randint(1, 12)) for _ in range(n)]
         return tuple(
-            max((item[i] for i in range(n) if m >> i & 1), default=Fraction(0))
+            max((item[i] for i in ids_of(m)), default=Fraction(0))
             for m in range(size)
         )
     if family == "assignment":
@@ -163,8 +164,6 @@ def random_valuation(
         weight = [[Fraction(rng.randint(0, 9)) for _ in range(slots)] for _ in range(n)]
 
         def best_matching(m: int) -> Fraction:
-            items = [i for i in range(n) if m >> i & 1]
-
             def go(slot: int, remaining: tuple[int, ...]) -> Fraction:
                 if slot == slots:
                     return Fraction(0)
@@ -174,7 +173,7 @@ def random_valuation(
                     best = max(best, weight[item_id][slot] + go(slot + 1, rest))
                 return best
 
-            return go(0, tuple(items))
+            return go(0, ids_of(m))
 
         return tuple(best_matching(m) for m in range(size))
     raise ValueError(f"unknown valuation family {family!r}; know {VALUATION_FAMILIES}")

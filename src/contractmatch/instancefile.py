@@ -474,7 +474,10 @@ def parse_document(doc: Any) -> LoadedFile:
             sides.append(f)
             owners.append(owner)
         elif "variant" in block:
-            sides.append(_parse_spec(block, names, loc, side, None))
+            market = None
+            if market_contracts is not None:
+                market = _MarketContext(grid, known, tuple(market_contracts))
+            sides.append(_parse_spec(block, names, loc, side, market))
             owners.append(None)
         else:
             raise ParseError("choice block needs either 'variant' or 'agents'", loc)

@@ -18,7 +18,7 @@ from .choice import tabulate
 from .engine import Instance
 from .errors import PreconditionError
 from .preference import prefers
-from .sets import full_mask
+from .sets import full_mask, ids_of
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,8 @@ def enumerate_stable_agreements(
     for subset in range(1 << n):
         if t1[subset] != subset or t2[subset] != subset:
             continue
-        outside = universe ^ subset
-        blocked = False
-        while outside:
-            xbit = outside & -outside
-            menu = subset | xbit
-            if t1[menu] & xbit and t2[menu] & xbit:
-                blocked = True
-                break
-            outside ^= xbit
-        if not blocked:
+        outside = ids_of(universe ^ subset)
+        if not any(t1[subset | 1 << x] & t2[subset | 1 << x] & 1 << x for x in outside):
             found.append(subset)
 
     below = tuple(

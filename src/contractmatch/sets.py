@@ -45,14 +45,18 @@ def mask_of(contracts: Iterable[int]) -> int:
 
 
 def ids_of(mask: int) -> tuple[int, ...]:
-    """Contract ids present in ``mask``, ascending."""
+    """Contract ids present in ``mask``, ascending: the package's one walk
+    over a subset's contracts.  Each step peels the top id, so the int
+    shrinks as it goes, and the list is reversed once.  A negative mask is
+    refused: it has infinitely many bits, and the peel would never end."""
     if mask < 0:
         raise ValueError(f"a subset mask cannot be negative, got {mask}")
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        c = mask.bit_length() - 1
+        out.append(c)
+        mask ^= 1 << c
+    out.reverse()
     return tuple(out)
 
 

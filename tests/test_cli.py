@@ -25,7 +25,8 @@ from contractmatch.corpus import FIXTURE_DIR, fixture_path
 from contractmatch.engine import Instance, auto_names, run
 from contractmatch.errors import SizeBoundError
 from contractmatch.generators import random_marriage_profile, random_valuation
-from contractmatch.instancefile import load, save
+from contractmatch.instancefile import load, parse_document, save, to_document
+from contractmatch.sets import subset_names
 
 from conftest import cycling_instance, deadline
 
@@ -244,6 +245,22 @@ def test_market_all_checks_pass(capsys):
     assert "no-shortage: ok" in out
     assert "money-monotone: ok" in out
     assert "two-prices" in out
+
+
+def test_a_whole_side_market_block_reads_the_market_section(tmp_path, capsys):
+    """A ``linear_producer`` block for a whole side gets the market section,
+    as an agent's block does, and solves, checks and round-trips like it."""
+    doc = json.loads(fixture_path("economy_small").read_text())
+    doc["choice"]["side1"] = doc["choice"]["side1"]["agents"]["p1"]["choice"]
+    path = tmp_path / "whole_side.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    assert run_cli(capsys, "market", str(path))[0] == 0
+    loaded, fixture = load(path), load(fixture_path("economy_small"))
+    chosen = run(loaded.instance).chosen
+    assert chosen == run(fixture.instance).chosen
+    assert subset_names(chosen, loaded.instance.names) == ["p1_c1_widget_12_a"]
+    assert parse_document(to_document(loaded.instance, loaded.economy, loaded.meta)) == loaded
 
 
 def test_market_gap_fixture_advisory(capsys):

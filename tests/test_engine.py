@@ -1055,7 +1055,7 @@ def test_the_successor_chains_are_the_orders():
     assert outside
 
 
-def test_a_256x256_market_takes_the_wide_rank_array():
+def test_a_256x256_market_takes_the_wide_successor_array():
     """Ranks are typed by the largest one stored: every contract of a
     256x256 market is in its owner's piece, so its ranks fit one byte.
     The successor array holds the sentinel ``n`` (65 536), which needs the
