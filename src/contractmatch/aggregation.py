@@ -39,22 +39,24 @@ can run deferred acceptance against another such side in
 proposer's next offer is read from ``_next`` past its refused contract,
 and each receiver compares a new offer with its held contract by rank.
 Those rounds read pool membership from a byte table of the pool's binary
-digits, clear each rejected contract in it, and record each round's
-offers and rejections as ids, so an offer or a rejection costs the same
-at any width; the final pool is read back from the table once.
+digits (all ones, in one call, for a pool of every contract), clear each
+rejected contract in it, and record each round's offers and rejections as
+ids, so an offer or a rejection costs the same at any width; the final
+pool is read back from the table once.
 :func:`~contractmatch.engine.run` takes it for every marriage market and
 for no side with any other kind of agent.  The singleton stability verdict
 between two such sides is :meth:`AggregateChoice.rank_blocker`, read from
-the same arrays: the contracts a side keeps on top of a set are those
-ranked above the best contract their owner holds in it.  Every id array
-takes the narrowest typecode that holds its largest value
-(:func:`~contractmatch.sets.id_typecode`).
+the same tables: the contracts a side keeps on top of a set are those
+ranked above the best contract their owner holds in it, walked through
+``_firsts`` and ``_next``.  Neither reads an agent's evaluator.  Every id
+table is typed by its largest value (:func:`~contractmatch.sets.id_table`):
+``bytes`` when it fits in a byte, as a marriage side's ``_owner`` and
+``_rank`` do.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
@@ -63,7 +65,7 @@ from .choice import ChoiceFunction, TopOfOrder, _Ranking
 from .engine import Instance
 from .errors import DomainError, SpecError
 from .preference import COHERENCE_ASSERTED
-from .sets import full_mask, id_typecode, ids_of, mask_of
+from .sets import full_mask, id_table, ids_of, mask_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,27 +107,27 @@ class AggregateChoice(ChoiceFunction):
     menu's intersection with its slice.  When every agent is a Gale-Shapley
     agent (a ``_Ranking`` with quota 1 and one order with a non-empty top,
     whose ``(top, tail)`` is ``splits[0]``), the side has three more
-    read-only arrays, built in one pass over the orders:
+    read-only tables, built in one pass over the orders, after which no
+    rank path reads an agent's evaluator:
 
     * ``_rank``: each contract's position in its owner's order (0 for the
       top, ``i + 1`` for ``tail[i]``, ``n`` for a contract outside its
-      owner's piece), typed by its largest entry, so a marriage side's
-      ranks take one byte each;
+      owner's piece), so a marriage side's ranks are one-byte ``bytes``;
     * ``_next``: ``n + 1`` entries, the contract after ``c`` in its
       owner's order at ``c`` (``n`` after the last, and for a contract
       outside every order), and the sentinel ``_next[n] == n``;
     * ``_firsts``: each agent's first entry, by part index.
 
     A run between two such sides takes :meth:`cursor_rounds` from round 0,
-    and their singleton stability verdict is :meth:`rank_blocker`.
-    ``_owner`` is typed by the number of agents, one byte for up to 256.
+    and their singleton stability verdict is :meth:`rank_blocker`.  Every
+    table, ``_owner`` included, is a :func:`~contractmatch.sets.id_table`.
     """
 
     n: int
     parts: tuple[AggregatePart, ...]
 
     def __post_init__(self) -> None:
-        # Each contract's owner (part index), as a compact array.
+        # Each contract's owner (part index), as a compact table.
         owner, slices = [-1] * self.n, []
         for p, part in enumerate(self.parts):
             ids = part.contract_ids  # ascending, so only its ends can fall outside
@@ -161,7 +163,7 @@ class AggregateChoice(ChoiceFunction):
             if type(agent) is not _Ranking:
                 unsure |= piece
         universe = full_mask(self.n)
-        object.__setattr__(self, "_owner", array(id_typecode(len(self.parts)), owner))
+        object.__setattr__(self, "_owner", id_table(owner))
         object.__setattr__(self, "_rest", tuple([universe ^ piece for piece in slices]))
         object.__setattr__(self, "_unsure", unsure)
         # Two sides of Gale-Shapley agents run deferred acceptance in
@@ -182,9 +184,9 @@ class AggregateChoice(ChoiceFunction):
                 rank[c] = 0
                 for i, d in enumerate(tail, 1):
                     rank[d], succ[c], c = i, d, d
-            object.__setattr__(self, "_rank", array(id_typecode(max(rank, default=0) + 1), rank))
-            object.__setattr__(self, "_next", array(id_typecode(n + 1), succ))
-            object.__setattr__(self, "_firsts", array(id_typecode(n), firsts))
+            object.__setattr__(self, "_rank", id_table(rank))
+            object.__setattr__(self, "_next", id_table(succ))
+            object.__setattr__(self, "_firsts", id_table(firsts))
         object.__setattr__(self, "_agents", agents)
 
     def owners(self) -> tuple[str, ...]:
@@ -244,9 +246,11 @@ class AggregateChoice(ChoiceFunction):
         piece.
 
         Pool membership is a ``bytearray`` of the pool's binary digits,
-        ``"1"`` or ``"0"`` at each contract's id, read once from ``pool``,
-        with a ``"1"`` at index ``n``: ``_next`` of each order's last entry
-        is that sentinel, so every walk stops without a bounds test.  In
+        ``"1"`` or ``"0"`` at each contract's id, with a ``"1"`` at index
+        ``n``.  A pool of all ``n`` contracts (every run from the universe)
+        is ``n + 1`` ones, made in one call; any other pool is read once
+        from its ``bin`` digits.  ``_next`` of each order's last entry is
+        the sentinel ``n``, so every walk stops without a bounds test.  In
         round 0 each proposer walks from its ``_firsts`` entry through
         ``_next`` to the first entry in the pool; a proposer refused ``c``
         walks on from ``_next[c]``, so each entry of ``_next`` is read at
@@ -268,7 +272,10 @@ class AggregateChoice(ChoiceFunction):
         best = [receiver.n] * len(receiver._agents)  # and its rank; n: none
         # The pool's binary digits, lowest id first, and "1" at n: "0" (48)
         # marks a contract outside the pool, and every walk stops at n.
-        in_pool = bytearray(bin(pool | 1 << n)[:1:-1], "ascii")
+        if pool.bit_count() == n:
+            in_pool = bytearray(b"1") * (n + 1)
+        else:
+            in_pool = bytearray(bin(pool | 1 << n)[:1:-1], "ascii")
         sents, rejections = [], []
         sent = []  # the round's new offers
         for e in self._firsts:
@@ -310,43 +317,42 @@ class AggregateChoice(ChoiceFunction):
         Such an agent keeps ``x`` from ``subset | {x}`` exactly when
         ``x`` ranks above the best contract the agent holds in ``subset``.
         One pass over ``subset``'s ids finds each agent's best rank on each
-        side (``n``: none); they are read from ``ids`` when the caller has
-        them (a run's held contracts, whose -1 entries are skipped), and
-        from :func:`~contractmatch.sets.ids_of` otherwise.  The entries ranked above an agent's best rank, read from its top and
-        tail, are exactly what that side keeps; only the side whose best
-        ranks sum lower is walked, and each entry ``x`` is tested against
-        the other side with ``rank[x] < best[owner[x]]``.  The lowest such
-        id does not depend on the side walked, so the verdict equals the
-        two sides' ``kept_additions``.
+        side (``n``: none) and the contract holding it, from ``ids`` when
+        the caller has them (a run's held contracts, whose -1 entries are
+        skipped), and from :func:`~contractmatch.sets.ids_of` otherwise.
+        What a side keeps is each agent's chain from ``_firsts[a]`` through
+        ``_next`` up to the contract it holds, or to the sentinel ``n``
+        when it holds none, so no ``_next`` entry is read twice and
+        ``_next[n]`` never.  Only the side whose best ranks sum lower is
+        walked, and each entry ``x`` is tested against the other side with
+        ``rank[x] < best[owner[x]]``.  The lowest such id does not depend
+        on the side walked, so the verdict equals the two sides'
+        ``kept_additions``.
         """
         n = self.n
         best, other_best = [n] * len(self._agents), [n] * len(other._agents)
+        held, other_held = best[:], other_best[:]
         owner, rank, other_owner, other_rank = self._owner, self._rank, other._owner, other._rank
         for c in ids_of(subset) if ids is None else ids:
             if c < 0:
                 continue
             a, r = owner[c], rank[c]
             if r < best[a]:
-                best[a] = r
+                best[a], held[a] = r, c
             a, r = other_owner[c], other_rank[c]
             if r < other_best[a]:
-                other_best[a] = r
-        agents = self._agents
+                other_best[a], other_held[a] = r, c
+        firsts, succ = self._firsts, self._next
         if sum(other_best) < sum(best):
-            agents, best, other_owner, other_rank, other_best = (
-                other._agents, other_best, owner, rank, best
+            firsts, succ, held, other_owner, other_rank, other_best = (
+                other._firsts, other._next, other_held, owner, rank, best
             )
         witness = n
-        for agent, b in zip(agents, best):
-            if not b:
-                continue
-            top, tail = agent.splits[0]
-            x = top.bit_length() - 1
-            if x < witness and other_rank[x] < other_best[other_owner[x]]:
-                witness = x
-            for x in tail[:b - 1]:
+        for x, stop in zip(firsts, held):
+            while x != stop:
                 if x < witness and other_rank[x] < other_best[other_owner[x]]:
                     witness = x
+                x = succ[x]
         return 1 << witness if witness < n else 0
 
 

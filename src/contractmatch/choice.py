@@ -45,7 +45,6 @@ break rejection consistency and is never skipped.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,7 +52,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import limits
 from .errors import DomainError, SpecError
-from .sets import format_mask, full_mask, id_typecode, ids_of, iter_submasks, mask_of
+from .sets import format_mask, full_mask, id_table, ids_of, iter_submasks, mask_of
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -149,9 +148,9 @@ class _Ranking:
     members the top lacks.  The evaluator of every ranking and filter;
     coherent by construction, so removing contracts it did not choose never
     changes its choice.  With quota 1 and one order (a Gale-Shapley agent),
-    an aggregate side reads ``splits[0]`` directly to run deferred
-    acceptance and the stability verdict by rank (see
-    :mod:`contractmatch.aggregation`).
+    an aggregate side reads ``splits[0]`` only while building its tables,
+    from which it runs deferred acceptance and the stability verdict by
+    rank (see :mod:`contractmatch.aggregation`).
     """
 
     __slots__ = ("splits", "quota", "piece")
@@ -221,17 +220,17 @@ class _RankingChoice(ChoiceFunction):
 
     def _relabelled(self, ids: Sequence[int], piece: int) -> _Ranking:
         """Each order split once, from local ids, into its top mask and its
-        tail as a compact array of global ids.  The evaluator's piece is the
-        contracts some order ranks: ``piece`` itself when an order ranks all
-        ``n`` contracts; a contract no order ranks is never chosen."""
+        tail as a compact table of global ids (:func:`~contractmatch.sets.id_table`,
+        typed by the tail's own largest id, so a filter's empty tail is the
+        shared ``b""``).  The evaluator's piece is the contracts some order
+        ranks: ``piece`` itself when an order ranks all ``n`` contracts; a
+        contract no order ranks is never chosen."""
         orders, quota = self._orders_and_quota()
         if all(len(order) < self.n for order in orders):
             piece = mask_of([ids[c] for order in orders for c in order])
-        code = id_typecode(piece.bit_length())
         # From a list: see AggregateChoice.__post_init__.
         splits = tuple([
-            (mask_of([ids[c] for c in order[:quota]]),
-             array(code, [ids[c] for c in order[quota:]]))
+            (mask_of([ids[c] for c in order[:quota]]), id_table([ids[c] for c in order[quota:]]))
             for order in orders
         ])
         return _Ranking(splits, quota, piece)

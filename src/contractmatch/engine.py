@@ -22,7 +22,7 @@ Later rounds call ``rechoose`` and the singleton verdict calls
 ``kept_additions`` once per side (see :mod:`contractmatch.choice`), so an
 aggregate side re-evaluates only the agents whose menus changed, or, for
 each outside contract, only its owner; two sides of Gale-Shapley agents
-read the verdict from their rank arrays instead (below).  The agreement
+read the verdict from their rank tables instead (below).  The agreement
 verdict takes the receiving side's choice from the last round, which
 evaluated it on the final offer already, and asks the proposer through
 ``rechoose`` from the last pool, whose choice that offer is: ranking and
@@ -31,7 +31,7 @@ evaluated again.
 
 When both sides are aggregates of Gale-Shapley agents only (every agent's
 evaluator is a ranking of one order with quota 1, as in every marriage
-market), each side has a ``_rank`` array, and the whole run, round 0
+market), each side has a ``_rank`` table, and the whole run, round 0
 included, goes to
 :meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds` instead:
 each proposer's next offer after a refused contract is read through the
@@ -49,9 +49,11 @@ the held ids) or for any subset given to :func:`is_stable_set` (read
 through :func:`~contractmatch.sets.ids_of`), is
 :meth:`~contractmatch.aggregation.AggregateChoice.rank_blocker`: an outside
 contract blocks exactly when it ranks above the best contract each of its
-two owners holds.  Both choices are made from the sides themselves (both
-have ``_rank``), not by an option, and give the same trace and verdicts as
-the generic rounds and ``kept_additions``, which stay their test reference.
+two owners holds; one side's entries so ranked are walked through its
+successor chains (``_firsts``, ``_next``).  Neither path reads an agent's
+evaluator.  Both choices are made from the sides themselves (both have
+``_rank``), not by an option, and give the same trace and verdicts as the
+generic rounds and ``kept_additions``, which stay their test reference.
 
 Stable agreements of a coherent instance form a lattice under the revealed
 preference of either side: :func:`meet` and :func:`join` compute greatest

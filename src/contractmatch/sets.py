@@ -9,6 +9,7 @@ is what every checker and oracle in this package relies on.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator, Sequence
 
 
@@ -22,6 +23,16 @@ def id_typecode(bound: int) -> str:
     when they all fit in 8 bits, two-byte ``"H"`` when they fit in 16,
     ``"L"`` otherwise."""
     return "B" if bound <= 1 << 8 else "H" if bound <= 1 << 16 else "L"
+
+
+def id_table(values: list[int]) -> bytes | array:
+    """A read-only table of ids (or ranks), typed by its largest value: a
+    ``bytes`` when every value fits in one byte, an ``array`` of
+    :func:`id_typecode`'s typecode otherwise.  A ``bytes`` subscript is
+    cheaper than an ``array("B")`` one at the same byte per entry, and an
+    empty table is the interpreter's one shared ``b""``."""
+    top = max(values, default=0)
+    return bytes(values) if top < 1 << 8 else array(id_typecode(top + 1), values)
 
 
 def mask_of(contracts: Iterable[int]) -> int:

@@ -31,7 +31,7 @@ from contractmatch.coherence import (
 from contractmatch.corpus import no_stable_agreement_instance
 from contractmatch.engine import ContractLabel, Instance
 from contractmatch.errors import DomainError, SpecError
-from contractmatch.generators import random_marriage_profile
+from contractmatch.generators import random_instance, random_marriage_profile
 from contractmatch.instancefile import load, save
 from contractmatch.preference import COHERENCE_ASSERTED
 from contractmatch.sets import ids_of, mask_of
@@ -154,6 +154,22 @@ def test_label_locality():
 # ---------------------------------------------------------------------------
 # Agent-local evaluation: kept_additions and rechoose against choose_mask
 # ---------------------------------------------------------------------------
+
+
+def test_filter_agents_share_one_empty_tail():
+    """A filter's quota is its order's length, so its tail is empty; each
+    tail is typed by its own largest id, so every empty tail of a bulk
+    instance (800 contracts, where most other tails are two-byte arrays) is
+    the one shared ``b""``."""
+    inst = random_instance(1, 800, 5, 20)
+    tails = [
+        agent.splits[0][1]
+        for side in (inst.f1, inst.f2)
+        for part, agent in zip(side.parts, side._agents)
+        if type(part.spec) is Identity
+    ]
+    assert len(tails) >= 2 and all(tail is tails[0] for tail in tails)
+    assert tails[0] == b""
 
 
 class GlobalTable:

@@ -1057,14 +1057,14 @@ def test_the_successor_chains_are_the_orders():
 
 def test_a_256x256_market_takes_the_wide_successor_array():
     """Ranks are typed by the largest one stored: every contract of a
-    256x256 market is in its owner's piece, so its ranks fit one byte.
-    The successor array holds the sentinel ``n`` (65 536), which needs the
-    wide typecode, and it is never a real contract.  Both runs give
-    classical Gale-Shapley's matchings."""
+    256x256 market is in its owner's piece, so its ranks fit one byte and
+    are stored as ``bytes``.  The successor array holds the sentinel ``n``
+    (65 536), which needs the wide typecode, and it is never a real
+    contract.  Both runs give classical Gale-Shapley's matchings."""
     men, women = random_marriage_profile(3, 256, 256)
     inst = build_marriage_instance(men, women)
     for side in (inst.f1, inst.f2):
-        assert side._rank.typecode == "B"
+        assert type(side._rank) is bytes
         assert max(side._rank) == 255 < side.n
         assert side._next.typecode == "L"
         assert side._next[side.n] == side.n == 65_536
@@ -1123,17 +1123,58 @@ def test_the_rank_verdict_gives_the_generic_verdict():
 
 
 def test_the_rank_verdict_on_a_256x256_market():
-    """A 256x256 market's one-byte rank arrays, beside its wide (``L``)
-    successor arrays, give the generic verdict too."""
+    """A 256x256 market's one-byte rank tables (``bytes``), beside its
+    wide (``L``) successor arrays, give the generic verdict too."""
     inst = build_marriage_instance(*random_marriage_profile(3, 256, 256))
     for side in (inst.f1, inst.f2):
-        assert side._rank.typecode == "B" and max(side._rank) == 255
-        assert side._next.typecode == "L"
+        assert type(side._rank) is bytes and max(side._rank) == 255
+        assert side._next.typecode == "L" and side._next[side.n] == 65_536
     rng = random.Random(256)
     for subset in _verdict_subsets(inst, rng):
         blocker = _kept_by_both(inst, subset)
         assert inst.f1.rank_blocker(inst.f2, subset) == blocker
         assert is_stable_set(inst, subset).blocking_set == (blocker or None)
+
+
+def test_the_rank_verdict_walks_each_successor_entry_at_most_once():
+    """``rank_blocker`` walks one side's successor chains, each agent's
+    from ``_firsts`` through ``_next`` up to its best contract in the
+    subset: the ``_next`` entries it reads are exactly the contracts
+    ranked above their owner's best, each read once.  An agent that holds
+    nothing (every agent, on the empty subset, and the partners of a
+    contract taken out of a run's outcome) walks its whole chain and stops
+    on the sentinel: ``_next[n]`` is never read."""
+    rng = random.Random(30)
+    empty = 0
+    for inst in _cursor_cases():
+        chosen = run(inst, rng.choice((1, 2))).chosen
+        held = ids_of(chosen)
+        for subset in (0, chosen, chosen ^ 1 << rng.choice(held), rng.getrandbits(inst.n)):
+            for side, other in ((inst.f1, inst.f2), (inst.f2, inst.f1)):
+                kept = {
+                    (s, name): getattr(s, name) for s in (side, other) for name in ("_next", "_firsts")
+                }
+                logs = {key: ReadLog(values) for key, values in kept.items()}
+                for (s, name), log in logs.items():
+                    object.__setattr__(s, name, log)
+                try:
+                    blocker = side.rank_blocker(other, subset)
+                finally:
+                    for (s, name), values in kept.items():
+                        object.__setattr__(s, name, values)
+                assert blocker == _kept_by_both(inst, subset)
+                walked = [s for s in (side, other) if logs[s, "_firsts"].reads]
+                assert len(walked) == 1
+                w = walked[0]
+                best = [inst.n] * len(w.parts)
+                for c in ids_of(subset):
+                    best[w._owner[c]] = min(best[w._owner[c]], w._rank[c])
+                reads = logs[w, "_next"].reads
+                assert len(set(reads)) == len(reads) and inst.n not in reads
+                assert set(reads) == {x for x in range(inst.n) if w._rank[x] < best[w._owner[x]]}
+                assert not logs[other if w is side else side, "_next"].reads
+                empty += best.count(inst.n)
+    assert empty
 
 
 def test_the_rank_verdict_is_taken_by_two_sides_of_top_agents_only(monkeypatch):
@@ -1201,7 +1242,9 @@ def test_phases_script_splits_a_cycle(workload):
 def test_phases_script_times_the_cycle_after_calibration():
     """The line before ``scripts/phases.py``'s last gives the cycle's ``run``
     time with a host-speed calibration after each item, scaled as the
-    benchmark worker scales it, and in wall time."""
+    benchmark worker scales it, and in wall time.  The line before that
+    gives the same for the next cycle's items, each built right before
+    it runs, as the benchmark worker builds and times them."""
     root = Path(__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, str(root / "scripts" / "phases.py"),
@@ -1211,6 +1254,12 @@ def test_phases_script_times_the_cycle_after_calibration():
     line = re.fullmatch(r"calibrated run (\d+\.\d+) ms scaled (\d+\.\d+) ms wall", out[-2])
     assert line, out[-2]
     assert all(float(ms) > 0 for ms in line.groups())
+    fresh = re.fullmatch(
+        r"fresh run (\d+\.\d+) ms scaled (\d+\.\d+) ms wall in ([1-9]\d*) items", out[-3]
+    )
+    assert fresh, out[-3]
+    assert all(float(ms) > 0 for ms in fresh.groups()[:2])
+    assert fresh.group(3) == re.search(r"in (\d+) items$", out[-1]).group(1)
 
 
 def test_80x80_marriage_is_fast():

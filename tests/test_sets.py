@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from contractmatch.sets import (
     format_mask,
     full_mask,
+    id_table,
     id_typecode,
     ids_of,
     iter_submasks,
@@ -38,6 +39,14 @@ def test_id_typecode_takes_the_exclusive_bound_of_the_ids():
     array(id_typecode(65_536), [65_535])
     with pytest.raises(OverflowError):
         array("H", [65_536])
+
+
+def test_id_table_is_bytes_while_its_largest_value_fits_a_byte():
+    assert id_table([]) is b"" and id_table([0]) == b"\x00"
+    assert type(id_table([3, 255, 0])) is bytes and list(id_table([3, 255, 0])) == [3, 255, 0]
+    for values, code in (([256, 0], "H"), ([65_535], "H"), ([65_536, 1], "L")):
+        table = id_table(values)
+        assert table.typecode == code and list(table) == values
 
 
 def test_mask_of():
