@@ -10,11 +10,13 @@ Every fixture is deterministic: hand-built instances come from
 
 from __future__ import annotations
 
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from contractmatch.choice import UnionOfOrders, valuation_choice
 from contractmatch.corpus import (
     FIXTURE_DIR,
     identity_instance,
@@ -24,7 +26,13 @@ from contractmatch.corpus import (
     no_stable_agreement_instance,
     price_gap_economy,
 )
-from contractmatch.generators import random_instance, random_money_economy
+from contractmatch.engine import Instance, auto_names
+from contractmatch.generators import (
+    random_instance,
+    random_money_economy,
+    random_order,
+    random_valuation,
+)
 from contractmatch.instancefile import save
 from contractmatch.market import build_money_economy
 
@@ -48,6 +56,18 @@ def main() -> int:
         out / "coherent_seed11.json",
         random_instance(11, 5),
         meta={"generator": "random_instance", "seed": 11, "n": 5},
+    )
+
+    # A valuation side (unit demand over three contracts) against two orders.
+    rng = random.Random(16)
+    save(
+        out / "valuation_seed16.json",
+        Instance(
+            names=auto_names(3),
+            f1=valuation_choice(random_valuation(16, 3, "unit_demand")),
+            f2=UnionOfOrders(3, (random_order(rng, 3), random_order(rng, 3))),
+        ),
+        meta={"generator": "random_valuation", "family": "unit_demand", "seed": 16, "n": 3},
     )
 
     economy_small = build_money_economy(

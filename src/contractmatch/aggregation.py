@@ -37,21 +37,15 @@ owner's order (``_next``) and each agent's first entry (``_firsts``), and
 can run deferred acceptance against another such side in
 :meth:`AggregateChoice.cursor_rounds`, rounds 0.. included: each rejected
 proposer's next offer is read from ``_next`` past its refused contract,
-and each receiver compares a new offer with its held contract by rank.
-Those rounds read pool membership from a byte table of the pool's binary
-digits (all ones, in one call, for a pool of every contract), clear each
-rejected contract in it, and record each round's offers and rejections as
-ids, so an offer or a rejection costs the same at any width; the final
-pool is read back from the table once.
+and each receiver compares a new offer with its held contract by rank
+(the method's docstring has the pool table and the record it returns).
 :func:`~contractmatch.engine.run` takes it for every marriage market and
 for no side with any other kind of agent.  The singleton stability verdict
 between two such sides is :meth:`AggregateChoice.rank_blocker`, read from
 the same tables: the contracts a side keeps on top of a set are those
 ranked above the best contract their owner holds in it, walked through
 ``_firsts`` and ``_next``.  Neither reads an agent's evaluator.  Every id
-table is typed by its largest value (:func:`~contractmatch.sets.id_table`):
-``bytes`` when it fits in a byte, as a marriage side's ``_owner`` and
-``_rank`` do.
+table is a :func:`~contractmatch.sets.id_table`, typed by its largest value.
 """
 
 from __future__ import annotations
@@ -236,8 +230,8 @@ class AggregateChoice(ChoiceFunction):
         agents (both have ``_rank``).
 
         Returns the run as ids: each round's new offers and its rejections,
-        round 0 first, and each receiver's held contract at the end (-1:
-        none), then the final pool as a mask.  A
+        round 0 first, and the contracts the receivers hold at the end (one
+        per receiver that holds any), then the final pool as a mask.  A
         :class:`~contractmatch.engine.Trace` keeps the two lists as they
         are: they are the sets the generic rounds record as masks.  The
         held contracts are the outcome.  Each agent's ``piece`` is exactly
@@ -304,6 +298,7 @@ class AggregateChoice(ChoiceFunction):
             sents.append(sent)
             rejections.append(rejected)
             if not rejected:
+                held = [c for c in held if c >= 0]
                 return sents, rejections, held, int(in_pool[::-1], 2) ^ 1 << n
             sent = resent
 
@@ -318,8 +313,8 @@ class AggregateChoice(ChoiceFunction):
         ``x`` ranks above the best contract the agent holds in ``subset``.
         One pass over ``subset``'s ids finds each agent's best rank on each
         side (``n``: none) and the contract holding it, from ``ids`` when
-        the caller has them (a run's held contracts, whose -1 entries are
-        skipped), and from :func:`~contractmatch.sets.ids_of` otherwise.
+        the caller has them (a run's held contracts), and from
+        :func:`~contractmatch.sets.ids_of` otherwise.
         What a side keeps is each agent's chain from ``_firsts[a]`` through
         ``_next`` up to the contract it holds, or to the sentinel ``n``
         when it holds none, so no ``_next`` entry is read twice and
@@ -334,8 +329,6 @@ class AggregateChoice(ChoiceFunction):
         held, other_held = best[:], other_best[:]
         owner, rank, other_owner, other_rank = self._owner, self._rank, other._owner, other._rank
         for c in ids_of(subset) if ids is None else ids:
-            if c < 0:
-                continue
             a, r = owner[c], rank[c]
             if r < best[a]:
                 best[a], held[a] = r, c

@@ -33,17 +33,12 @@ When both sides are aggregates of Gale-Shapley agents only (every agent's
 evaluator is a ranking of one order with quota 1, as in every marriage
 market), each side has a ``_rank`` table, and the whole run, round 0
 included, goes to
-:meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds` instead:
-each proposer's next offer after a refused contract is read through the
-side's successor array (``_next``), and each receiver compares a new offer
-with its held contract by their ranks in its order.  Those rounds build no
-full-width int per offer or round: they record each round's new offers and
-rejections as ids.  The outcome is the receivers' held contracts, and the
-final pool is read back from the rounds' pool-membership table, from which
-each rejected contract was cleared as it was rejected.  The generic rounds
-record the same two sets of each round as masks, and :class:`Trace` keeps
-either record, rebuilding the per-round pools, offers and accepted sets
-only when they are read.
+:meth:`~contractmatch.aggregation.AggregateChoice.cursor_rounds` instead,
+which returns each round's new offers and rejections and the receivers'
+held contracts as ids, then the final pool (its docstring has the
+mechanism).  The generic rounds record the same two sets of each round as
+masks, and :class:`Trace` keeps either record, rebuilding the per-round
+pools, offers and accepted sets only when they are read.
 The singleton verdict of two such sides, for a run's outcome (read from
 the held ids) or for any subset given to :func:`is_stable_set` (read
 through :func:`~contractmatch.sets.ids_of`), is
@@ -375,8 +370,7 @@ def run(instance: Instance, proposer: int = 1, pool: int | None = None) -> Solve
         sent, rejected, ids, final = propose.cursor_rounds(other, z)
         chosen = 0
         for c in ids:
-            if c >= 0:
-                chosen |= 1 << c
+            chosen |= 1 << c
         keep = chosen  # the last round rejected nothing
         trace = Trace(z, sent, rejected, final, True)
         z = final

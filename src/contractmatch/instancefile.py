@@ -162,11 +162,18 @@ def _parse_subset(value: Any, index: Mapping[str, int], loc: str) -> int:
 
 @dataclass(frozen=True)
 class _MarketContext:
-    """Market data a producer/consumer spec needs: the grid plus the slice's tuples."""
+    """Market data a producer/consumer spec needs: the grid plus its contracts'
+    tuples.  :func:`parse_document` builds one per file, for the whole
+    universe, and :meth:`sliced` keeps an agent's share."""
 
     grid: tuple[int, ...]
     templates: set[str]
     slice_contracts: tuple[MarketContract, ...]
+
+    def sliced(self, ids: Sequence[int]) -> _MarketContext:
+        """The same market, keeping the tuples of contracts ``ids`` only."""
+        picked = tuple(map(self.slice_contracts.__getitem__, ids))
+        return _MarketContext(self.grid, self.templates, picked)
 
 
 def _parse_spec(
@@ -218,7 +225,6 @@ def _read_spec(
 
     if tag == "valuation_argmax":
         values = _parse_rows(body, tag, local_names, index, loc)
-        scheme = None
         if "prices" in body:
             _expect("epsilon" in body, "'prices' requires 'epsilon'", loc)
             raw_prices = _expect_list(body["prices"], f"{loc}.prices")
@@ -384,10 +390,8 @@ def parse_document(doc: Any) -> LoadedFile:
     n = len(names)
 
     # --- market section (parsed before choice blocks, which may need it) ---
-    market_contracts: list[MarketContract] | None = None
-    grid: tuple[int, ...] = ()
+    market: _MarketContext | None = None
     templates: tuple[str, ...] = ()
-    known: set[str] = set()
     if "market" in body:
         from .market import MarketContract, MoneyEconomy
 
@@ -433,6 +437,7 @@ def parse_document(doc: Any) -> LoadedFile:
             )
         for cname, mc in zip(names, market_contracts):
             _expect(mc is not None, f"no market tuple for contract {cname!r}", "market.tuples")
+        market = _MarketContext(grid, known, tuple(market_contracts))
 
     # --- explicit labels: each contract's two agents, by contract id ---
     label_owners: tuple[list[str], list[str]] | None = None
@@ -468,15 +473,10 @@ def parse_document(doc: Any) -> LoadedFile:
         loc = f"choice.side{side}"
         block = _expect_dict(choice_body.get(f"side{side}"), loc)
         if "agents" in block:
-            f, owner = _parse_agents_block(
-                block["agents"], names, index, loc, side, grid, known, market_contracts
-            )
+            f = _parse_agents_block(block["agents"], names, index, loc, side, market)
             sides.append(f)
-            owners.append(owner)
+            owners.append(list(f.owners()))
         elif "variant" in block:
-            market = None
-            if market_contracts is not None:
-                market = _MarketContext(grid, known, tuple(market_contracts))
             sides.append(_parse_spec(block, names, loc, side, market))
             owners.append(None)
         else:
@@ -484,8 +484,8 @@ def parse_document(doc: Any) -> LoadedFile:
 
     # --- reconcile ownership across labels, market, and agent blocks ---
     derived: list[list[str] | None] = [
-        [mc.producer for mc in market_contracts] if market_contracts else None,
-        [mc.consumer for mc in market_contracts] if market_contracts else None,
+        [mc.producer for mc in market.slice_contracts] if market else None,
+        [mc.consumer for mc in market.slice_contracts] if market else None,
     ]
     final_owner: list[list[str] | None] = [None, None]
     for side in (1, 2):
@@ -513,11 +513,11 @@ def parse_document(doc: Any) -> LoadedFile:
     instance = Instance(names=tuple(names), f1=sides[0], f2=sides[1], labels=labels)
 
     economy = None
-    if market_contracts is not None:
+    if market is not None:
         economy = MoneyEconomy(
             instance=instance,
-            contracts=tuple(market_contracts),
-            price_grid=grid,
+            contracts=market.slice_contracts,
+            price_grid=market.grid,
             templates=templates,
         )
 
@@ -531,10 +531,8 @@ def _parse_agents_block(
     index: Mapping[str, int],
     loc: str,
     side: int,
-    grid: tuple[int, ...],
-    templates: set[str],
-    market_contracts: Sequence[MarketContract] | None,
-) -> tuple[AggregateChoice, list[str]]:
+    market: _MarketContext | None,
+) -> AggregateChoice:
     agents_body = _expect_dict(raw_agents, f"{loc}.agents")
     _expect(bool(agents_body), "need at least one agent", f"{loc}.agents")
     owned: dict[int, str] = {}
@@ -552,17 +550,13 @@ def _parse_agents_block(
             )
         owned.update(dict.fromkeys(slice_ids, agent))
         local_names = [names[cid] for cid in slice_ids]
-        market = None
-        if market_contracts is not None:
-            market = _MarketContext(
-                grid, templates, tuple(market_contracts[cid] for cid in slice_ids)
-            )
-        spec = _parse_spec(entry.get("choice"), local_names, f"{aloc}.choice", side, market)
+        piece = market.sliced(slice_ids) if market else None
+        spec = _parse_spec(entry.get("choice"), local_names, f"{aloc}.choice", side, piece)
         agents[agent] = spec, slice_ids
     if len(owned) < len(names):
         missing = [name for cid, name in enumerate(names) if cid not in owned]
         raise ParseError(f"contracts {missing} are owned by no agent", f"{loc}.agents")
-    return _assemble_side(len(names), agents), list(map(owned.get, range(len(names))))
+    return _assemble_side(len(names), agents)
 
 
 def to_document(

@@ -18,21 +18,14 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def id_typecode(bound: int) -> str:
-    """The ``array`` typecode for ids ``0 .. bound - 1``: one-byte ``"B"``
-    when they all fit in 8 bits, two-byte ``"H"`` when they fit in 16,
-    ``"L"`` otherwise."""
-    return "B" if bound <= 1 << 8 else "H" if bound <= 1 << 16 else "L"
-
-
 def id_table(values: list[int]) -> bytes | array:
     """A read-only table of ids (or ranks), typed by its largest value: a
-    ``bytes`` when every value fits in one byte, an ``array`` of
-    :func:`id_typecode`'s typecode otherwise.  A ``bytes`` subscript is
-    cheaper than an ``array("B")`` one at the same byte per entry, and an
-    empty table is the interpreter's one shared ``b""``."""
+    ``bytes`` when it is below 256, else an ``array("H")`` below 65 536,
+    else an ``array("L")``.  A ``bytes`` subscript is cheaper than an
+    ``array("B")`` one at the same byte per entry, and an empty table is
+    the interpreter's one shared ``b""``."""
     top = max(values, default=0)
-    return bytes(values) if top < 1 << 8 else array(id_typecode(top + 1), values)
+    return bytes(values) if top < 1 << 8 else array("H" if top < 1 << 16 else "L", values)
 
 
 def mask_of(contracts: Iterable[int]) -> int:

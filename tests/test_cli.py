@@ -953,6 +953,13 @@ def test_import_leaves_numpy_unloaded():
     assert set(PUBLIC_NAMES) <= set(probe["dir"])
 
 
+def test_an_unknown_package_attribute_is_refused_by_name():
+    import contractmatch
+
+    with pytest.raises(AttributeError, match="'contractmatch' has no attribute 'no_such_name'"):
+        contractmatch.no_such_name
+
+
 def test_package_imports_only_the_standard_library():
     """The package has no runtime dependency: every absolute import in
     ``src/contractmatch`` names a standard-library module (relative imports

@@ -104,7 +104,7 @@ def mutated_fixtures(draw) -> dict:
         parent, key = _parent(doc, path), path[-1]
         action = draw(st.sampled_from(("replace", "delete", "duplicate")))
         if action == "replace":
-            parent[key] = draw(st.sampled_from(JUNK))
+            parent[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))  # later edits stay local
         elif action == "delete":
             del parent[key]
         elif isinstance(parent, list):

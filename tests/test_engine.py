@@ -131,6 +131,12 @@ def test_canonical_trace():
     assert result.converged and result.trace.cycle == ()
 
 
+def test_a_trace_is_unequal_to_anything_but_a_trace():
+    trace = run(no_stable_agreement_instance()).trace
+    assert trace != (trace.pools, trace.offers, trace.accepted)
+    assert trace.__eq__(None) is NotImplemented
+
+
 def test_canonical_blocking_verdict_text():
     result = run(no_stable_agreement_instance())
     text = result.stability.describe(("a", "b"))

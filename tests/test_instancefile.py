@@ -64,7 +64,7 @@ def test_fixture_script_regenerates_the_shipped_files(tmp_path, monkeypatch, cap
     monkeypatch.setattr(module, "FIXTURE_DIR", tmp_path)
     assert module.main() == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ALL_FIXTURES
-    assert len(ALL_FIXTURES) == 11
+    assert len(ALL_FIXTURES) == 12
     for name in ALL_FIXTURES:
         assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / name).read_bytes(), name
 

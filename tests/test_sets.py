@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from array import array
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from contractmatch.sets import (
     format_mask,
     full_mask,
     id_table,
-    id_typecode,
     ids_of,
     iter_submasks,
     mask_of,
@@ -26,19 +23,6 @@ def test_full_mask():
     assert full_mask(0) == 0
     assert full_mask(1) == 0b1
     assert full_mask(4) == 0b1111
-
-
-def test_id_typecode_takes_the_exclusive_bound_of_the_ids():
-    assert id_typecode(0) == id_typecode(255) == id_typecode(256) == "B"
-    assert id_typecode(257) == id_typecode(65_535) == id_typecode(65_536) == "H"
-    assert id_typecode(65_537) == "L"
-    # Each code holds the largest id below its bound; the next id needs a wider one.
-    array(id_typecode(256), [255])
-    with pytest.raises(OverflowError):
-        array("B", [256])
-    array(id_typecode(65_536), [65_535])
-    with pytest.raises(OverflowError):
-        array("H", [65_536])
 
 
 def test_id_table_is_bytes_while_its_largest_value_fits_a_byte():
